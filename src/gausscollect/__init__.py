@@ -14,6 +14,7 @@ from .overlap_engine import (
     OverlapResult,
     compute_xi,
     geometric_factor,
+    geometric_factors,
     xi_brute_force,
     xi_full_compensation,
     xi_gouy_compensated,
@@ -39,6 +40,7 @@ __all__ = [
     "OverlapResult",
     "compute_xi",
     "geometric_factor",
+    "geometric_factors",
     "xi_small_cloud",
     "xi_uniform",
     "xi_gouy_compensated",

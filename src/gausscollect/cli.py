@@ -258,6 +258,10 @@ def _validate_command_inputs(config: RunConfig):
         raise ConfigError(f"{cmd}: sigma_z_bar must be non-negative")
     if config.tol <= 0.0:
         raise ConfigError(f"{cmd}: tol must be positive")
+    for name in ("n_atoms", "samples", "t_steps", "trials", "n_theta", "n_phi"):
+        value = getattr(config, name)
+        if value < 1:
+            raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
 
 
 def _resolved_dict(config: RunConfig) -> dict:

@@ -13,13 +13,24 @@ Evaluation routes:
   error function (the transverse integral is Gaussian and the axial one
   is a Gaussian-pole integral), valid for every cloud length;
 * Gouy-compensated and full-Gaussian stored phases: the transverse
-  integral is Gaussian, leaving a one-dimensional axial quadrature
-  (two independent algebraic forms are implemented for the
-  Gouy-compensated case and cross-checked in the tests);
+  integral is Gaussian and leaves a real, even axial integrand (the
+  overlap is purely imaginary), integrated by one fixed rule:
+  16-point Gauss-Legendre panels on the half axis, graded by ratio 1.6
+  from a quarter of the smaller of the Rayleigh length and the cloud
+  length out to 8.5 cloud lengths, with the cloud's Gaussian weight
+  folded into the weights;
+* clouds of zero length, or negligibly short against the Rayleigh
+  length, take the analytic pancake overlap, where all profiles
+  coincide;
 * a brute-force radial x axial tensor quadrature of the full integral,
-  used as the oracle for everything above.
+  used as the oracle for everything above, and an independent
+  beam-width/curvature form of the Gouy-compensated overlap, integrated
+  by Gauss-Hermite with an adaptive Gauss-Kronrod fallback, which the
+  tests cross-check against the production form.
 
-All functions are pure; grid evaluations may run concurrently.
+:func:`geometric_factors` evaluates a whole array of waists in one numpy
+pass on one shared axial mesh; :func:`compute_xi` and the per-variant
+functions are its one-waist case.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -29,19 +40,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfcx
 
 from .ensemble_model import (
     FULL_GAUSSIAN,
     GOUY_COMPENSATED,
+    PHASE_VARIANTS,
     UNIFORM,
     CloudGeometry,
     PhaseProfile,
 )
-from .special_math import QuadratureError, erfcx, gauss_hermite, integrate_adaptive
+from .special_math import QuadratureError, gauss_hermite, integrate_adaptive
 
 __all__ = [
     "OverlapResult",
     "geometric_factor",
+    "geometric_factors",
     "xi_small_cloud",
     "xi_uniform",
     "xi_gouy_compensated",
@@ -56,6 +70,21 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # truncation half-width of Gaussian-weighted domains, in standard deviations;
 # the neglected tail is below exp(-8.5^2/2) ~ 2e-16 of the envelope
 _CUT_SIGMAS = 8.5
+
+# the fixed axial rule: Gauss-Legendre panels of this order, growing by
+# this ratio away from the focus
+_AXIAL_ORDER = 16
+_AXIAL_RATIO = 1.6
+
+# past this argument sqrt(pi) x erfcx(x) equals 1 to double precision,
+# so the uniform closed form is the exact pancake overlap there
+_UNIFORM_PANCAKE_ARG = 1e100
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _check_normalized(xi_abs_sq: float) -> None:
+    if xi_abs_sq > 1.0 + 1e-9:
+        raise ValueError(f"|xi|^2 = {xi_abs_sq!r} exceeds the normalization bound of 1")
 
 
 @dataclass(frozen=True)
@@ -72,10 +101,7 @@ class OverlapResult:
     def from_xi(cls, xi: complex, w0_bar: float, method: str) -> "OverlapResult":
         xi = complex(xi)
         xi_abs_sq = abs(xi) ** 2
-        if xi_abs_sq > 1.0 + 1e-9:
-            raise ValueError(
-                f"|xi|^2 = {xi_abs_sq!r} exceeds the normalization bound of 1"
-            )
+        _check_normalized(xi_abs_sq)
         return cls(xi, xi_abs_sq, geometric_factor(xi_abs_sq, w0_bar), method, w0_bar)
 
 
@@ -94,19 +120,138 @@ def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# panel rules
 # ---------------------------------------------------------------------------
 
-def _xi_pancake(sigma_perp: float, w0_bar: float) -> complex:
-    # zero-length cloud at the focus: all three phase profiles coincide
-    return -1j * w0_bar * w0_bar / (w0_bar * w0_bar + 2.0 * sigma_perp * sigma_perp)
+def _graded_edges(h0: float, limit: float, ratio: float = 1.6) -> list[float]:
+    """Symmetric breakpoints growing geometrically from the origin to +-limit."""
+    pts = [0.0, limit]
+    x = h0
+    while x < limit:
+        pts.append(x)
+        x *= ratio
+    return sorted({-p for p in pts} | set(pts))
 
 
-def _degenerate_length(sigma_z: float, zeta: float) -> bool:
+@lru_cache(maxsize=64)
+def _legendre_rule(n: int):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panel_nodes(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
+    base_x, base_w = _legendre_rule(order)
+    lo = edges[:-1]
+    hi = edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    weights = (half[:, None] * base_w[None, :]).ravel()
+    return nodes, weights
+
+
+# ---------------------------------------------------------------------------
+# the overlap kernel
+# ---------------------------------------------------------------------------
+
+def _degenerate_length(sigma_z: float, zeta):
     # clouds this short against the Rayleigh length differ from the
     # pancake limit by O((sz/zR)^2) < double precision, while their
     # Gaussian weight exp(-z^2/2 sz^2) degenerates in float arithmetic
     return sigma_z < 1e-9 * zeta
+
+
+def _axial_rule(sigma_z: float, zeta_min: float):
+    """Half-axis nodes and weights of the compensated overlaps' axial integral.
+
+    The weights carry the cloud's axial density folded onto ``z >= 0``,
+    ``2 exp(-z^2 / 2 sz^2) / (sqrt(2 pi) sz)``; the core panel resolves
+    the shortest Rayleigh length ``zeta_min`` the rule serves.
+    """
+    h0 = min(zeta_min, sigma_z) / 4.0
+    edges = np.array(_graded_edges(h0, _CUT_SIGMAS * sigma_z, _AXIAL_RATIO))
+    z, w = _panel_nodes(edges[edges >= 0.0], _AXIAL_ORDER)
+    density = np.exp(-z * z / (2.0 * sigma_z * sigma_z)) * (2.0 / (_SQRT_2PI * sigma_z))
+    return z, w * density
+
+
+def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
+    """``xi`` at every waist of the 1-d array ``w0``, and the mask of the
+    waists evaluated by the axial rule (the others are closed forms).
+
+    The pancake and degenerate-length limits are decided per waist
+    before any mesh is built; the compensated variants then share one
+    mesh, fine enough for the smallest Rayleigh length among the rest.
+    """
+    if variant not in PHASE_VARIANTS:
+        raise ValueError(f"unknown phase variant {variant!r}")
+    if w0.ndim != 1:
+        raise ValueError("waists must form a 1-d array")
+    if not (w0 > 0.0).all():
+        raise ValueError(f"w0_bar must be positive, got {float(w0[~(w0 > 0.0)][0])!r}")
+    sp_sq, sz = cloud.sigma_perp_bar ** 2, cloud.sigma_z_bar
+    zeta = 0.5 * w0 * w0
+    pole = zeta + sp_sq
+    # zero-length cloud at the focus: all three phase profiles coincide
+    xi = -1j * zeta / pole
+    quad = np.zeros(w0.shape, dtype=bool)
+    if sz == 0.0:
+        return xi, quad
+    if variant == UNIFORM:
+        # the axial integral has a simple pole at i (zR + sp^2) under a
+        # Gaussian weight: xi = pancake * sqrt(pi) x erfcx(x) with
+        # x = (zR + sp^2) / (sqrt(2) sz), capped so that tiny sz cannot
+        # overflow it
+        scale = math.sqrt(2.0) * sz
+        x = np.minimum(pole, _UNIFORM_PANCAKE_ARG * scale) / scale
+        return xi * (_SQRT_PI * x * erfcx(x)), quad
+
+    quad = ~_degenerate_length(sz, zeta)
+    if quad.any():
+        z, weights = _axial_rule(sz, float(zeta[quad].min()))
+        z_sq = z * z
+        zq = zeta[quad][:, None]
+        r_sq = zq * zq + z_sq  # |z + i zR|^2
+        if variant == GOUY_COMPENSATED:
+            # Im of exp(-i arctan(z/zR)) / (z + i p), p = zR + sp^2; the
+            # real part is odd in z and integrates to zero
+            pq = pole[quad][:, None]
+            f = (zq * pq + z_sq) / ((z_sq + pq * pq) * np.sqrt(r_sq))
+        else:
+            # w(z) / (w(z)^2 + 2 sp^2), scaled by w0 / zR
+            f = np.sqrt(r_sq) / (r_sq + sp_sq * zq)
+        xi[quad] = -1j * zeta[quad] * (f @ weights)
+    return xi, quad
+
+
+def geometric_factors(cloud: CloudGeometry, w0_bars, variant: str) -> np.ndarray:
+    """Per-atom collection efficiency at every waist of the 1-d ``w0_bars``.
+
+    The batched form of ``compute_xi(cloud, w, variant).geometric_factor``:
+    one numpy pass over all waists, with the normalization guard of
+    :class:`OverlapResult` applied to each.
+    """
+    w0 = np.asarray(w0_bars, dtype=float)
+    xi, _ = _xi_kernel(cloud, w0, variant)
+    xi_abs_sq = np.abs(xi) ** 2
+    _check_normalized(float(xi_abs_sq.max()))
+    return 6.0 * xi_abs_sq / (w0 * w0)
+
+
+def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResult:
+    """Overlap of one cloud and waist for a phase variant.
+
+    The one-waist case of the kernel behind :func:`geometric_factors`:
+    zero-length and negligibly short clouds take the analytic pancake
+    form (``method="closed_form"``), the uniform phase the exact erfcx
+    closed form, the compensated phases the fixed axial rule
+    (``method="quadrature"``).
+    """
+    xi, quad = _xi_kernel(cloud, np.array([w0_bar], dtype=float), variant)
+    return OverlapResult.from_xi(xi[0], w0_bar, "quadrature" if quad[0] else "closed_form")
 
 
 def xi_small_cloud(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
@@ -135,45 +280,52 @@ def xi_uniform(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
     erfcx((w0^2/2 + sp^2) / (sqrt(2) sz))``, finite for every parameter
     magnitude because the scaled function never overflows.
     """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
-    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    if sz == 0.0:
+    if cloud.sigma_z_bar == 0.0:
         raise ValueError(
             "xi_uniform needs sigma_z_bar > 0; use xi_small_cloud for the pancake limit"
         )
-    zeta = 0.5 * w0_bar * w0_bar
-    arg = (zeta + sp * sp) / (math.sqrt(2.0) * sz)
-    if arg > 1e100:
-        # cloud length negligible against every other scale: the closed
-        # form degenerates (huge ratio times tiny erfcx) into the exact
-        # pancake overlap, so evaluate that limit directly
-        return OverlapResult.from_xi(_xi_pancake(sp, w0_bar), w0_bar, "closed_form")
-    xi = -1j * math.sqrt(math.pi / 8.0) * (w0_bar * w0_bar / sz) * erfcx(arg)
-    return OverlapResult.from_xi(xi, w0_bar, "closed_form")
+    return compute_xi(cloud, w0_bar, UNIFORM)
+
+
+def xi_gouy_compensated(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
+    """Overlap for the stored phase cancelling the beam's Gouy phase.
+
+    After the (Gaussian) transverse integral, the axial integrand keeps
+    the residual Gouy rotation against the pole at ``i (zR + sp^2)``:
+    ``xi = zR / (sqrt(2 pi) sz) * integral g exp(-i arctan(z/zR)) /
+    (z + i (zR + sp^2)) dz``.  Cancelling the sign flip of the Gouy
+    phase across the focus is what makes the two half-spaces add
+    constructively for long clouds.
+    """
+    if cloud.sigma_z_bar == 0.0:
+        raise ValueError("xi_gouy_compensated needs sigma_z_bar > 0")
+    return compute_xi(cloud, w0_bar, GOUY_COMPENSATED)
+
+
+def xi_full_compensation(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
+    """Overlap for the stored phase of a full focused-Gaussian mode.
+
+    The imprinted curvature and Gouy terms cancel the mode's transverse
+    phase exactly, leaving a real, positive axial integrand
+    ``w(z) / (w(z)^2 + 2 sp^2)`` under the cloud's Gaussian weight.  At
+    ``sigma_z_bar = 0`` this reduces to the analytic pancake overlap
+    ``|xi|^2 = w0^4 / (w0^2 + 2 sp^2)^2``.
+    """
+    return compute_xi(cloud, w0_bar, FULL_GAUSSIAN)
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional axial quadratures
+# oracles
 # ---------------------------------------------------------------------------
 
-def _graded_edges(h0: float, limit: float, ratio: float = 1.6) -> list[float]:
-    """Symmetric breakpoints growing geometrically from the origin to +-limit."""
-    pts = [0.0, limit]
-    x = h0
-    while x < limit:
-        pts.append(x)
-        x *= ratio
-    return sorted({-p for p in pts} | set(pts))
-
-
-def _axial_integral(smooth, sigma_z: float, core_scale: float, tol: float) -> complex:
+def _hermite_axial_integral(smooth, sigma_z: float, core_scale: float, tol: float) -> complex:
     """``integral exp(-z^2 / 2 sz^2) * smooth(z) dz`` over the whole axis.
 
     Gauss-Hermite after ``z = sqrt(2) sz u`` (order 128, checked by
     doubling); when the integrand structure near the focus is too fine
     for the Hermite nodes the doubling check fails and an adaptive
-    panel integration with a graded mesh takes over.
+    panel integration with a graded mesh takes over.  A quadrature
+    independent of the fixed axial rule, kept for the oracle below.
     """
     s = math.sqrt(2.0) * sigma_z
 
@@ -197,44 +349,15 @@ def _axial_integral(smooth, sigma_z: float, core_scale: float, tol: float) -> co
     ).value
 
 
-def xi_gouy_compensated(
-    cloud: CloudGeometry, w0_bar: float, tol: float = 1e-10
-) -> OverlapResult:
-    """Overlap for the stored phase cancelling the beam's Gouy phase.
-
-    After the (Gaussian) transverse integral, the axial integrand keeps
-    the residual Gouy rotation against the pole at ``i (zR + sp^2)``:
-    ``xi = zR / (sqrt(2 pi) sz) * integral g exp(-i arctan(z/zR)) /
-    (z + i (zR + sp^2)) dz``.  Cancelling the sign flip of the Gouy
-    phase across the focus is what makes the two half-spaces add
-    constructively for long clouds.
-    """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
-    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    if sz == 0.0:
-        raise ValueError("xi_gouy_compensated needs sigma_z_bar > 0")
-    zeta = 0.5 * w0_bar * w0_bar
-    if _degenerate_length(sz, zeta):
-        return OverlapResult.from_xi(_xi_pancake(sp, w0_bar), w0_bar, "closed_form")
-    pole = zeta + sp * sp
-
-    def smooth(z):
-        return np.exp(-1j * np.arctan(z / zeta)) / (z + 1j * pole)
-
-    integral = _axial_integral(smooth, sz, zeta, tol)
-    xi = (zeta / (_SQRT_2PI * sz)) * integral
-    return OverlapResult.from_xi(xi, w0_bar, "quadrature")
-
-
 def xi_gouy_compensated_curvature_form(
     cloud: CloudGeometry, w0_bar: float, tol: float = 1e-10
 ) -> OverlapResult:
     """Independent algebraic form of :func:`xi_gouy_compensated`.
 
     Uses the beam-width/curvature factorization of the mode instead of
-    the complex beam parameter; the two must agree to quadrature
-    accuracy and are cross-checked in the test suite.
+    the complex beam parameter, and its own quadrature; the two must
+    agree to quadrature accuracy and are cross-checked in the test
+    suite.
     """
     if w0_bar <= 0.0:
         raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
@@ -242,70 +365,18 @@ def xi_gouy_compensated_curvature_form(
     if sz == 0.0:
         raise ValueError("xi_gouy_compensated_curvature_form needs sigma_z_bar > 0")
     zeta = 0.5 * w0_bar * w0_bar
-    if _degenerate_length(sz, zeta):
-        return OverlapResult.from_xi(_xi_pancake(sp, w0_bar), w0_bar, "closed_form")
     sp_sq = sp * sp
+    if _degenerate_length(sz, zeta):
+        return OverlapResult.from_xi(-1j * zeta / (zeta + sp_sq), w0_bar, "closed_form")
 
     def smooth(z):
         w_sq = w0_bar * w0_bar * (1.0 + (z / zeta) ** 2)
         inv_r = z / (z * z + zeta * zeta)
         return np.sqrt(w_sq) / (w_sq + 2.0 * sp_sq + 1j * w_sq * sp_sq * inv_r)
 
-    integral = _axial_integral(smooth, sz, zeta, tol)
+    integral = _hermite_axial_integral(smooth, sz, zeta, tol)
     xi = -1j * (w0_bar / (_SQRT_2PI * sz)) * integral
     return OverlapResult.from_xi(xi, w0_bar, "quadrature")
-
-
-def xi_full_compensation(
-    cloud: CloudGeometry, w0_bar: float, tol: float = 1e-10
-) -> OverlapResult:
-    """Overlap for the stored phase of a full focused-Gaussian mode.
-
-    The imprinted curvature and Gouy terms cancel the mode's transverse
-    phase exactly, leaving a real, positive axial integrand
-    ``w(z) / (w(z)^2 + 2 sp^2)`` under the cloud's Gaussian weight.  At
-    ``sigma_z_bar = 0`` this reduces to the analytic pancake overlap
-    ``|xi|^2 = w0^4 / (w0^2 + 2 sp^2)^2``.
-    """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
-    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    zeta = 0.5 * w0_bar * w0_bar
-    if sz == 0.0 or _degenerate_length(sz, zeta):
-        return OverlapResult.from_xi(_xi_pancake(sp, w0_bar), w0_bar, "closed_form")
-    sp_sq = sp * sp
-
-    def smooth(z):
-        w = w0_bar * np.sqrt(1.0 + (z / zeta) ** 2)
-        return w / (w * w + 2.0 * sp_sq)
-
-    integral = _axial_integral(smooth, sz, zeta, tol)
-    xi = -1j * (w0_bar / (_SQRT_2PI * sz)) * integral
-    return OverlapResult.from_xi(xi, w0_bar, "quadrature")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _legendre_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _panel_nodes(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    base_x, base_w = _legendre_rule(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
 
 
 def _brute_force_level(
@@ -385,29 +456,3 @@ def xi_brute_force(
         f"(last change {change:.3e})",
         value=val,
     )
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResult:
-    """Route to the preferred evaluator for a phase variant and cloud.
-
-    Zero-length clouds go to the analytic pancake forms (all variants
-    coincide there); the uniform phase always uses the exact erfcx
-    closed form, the compensated phases use their axial quadratures.
-    """
-    if variant == UNIFORM:
-        if cloud.sigma_z_bar == 0.0:
-            return xi_small_cloud(cloud, w0_bar)
-        return xi_uniform(cloud, w0_bar)
-    if variant == GOUY_COMPENSATED:
-        if cloud.sigma_z_bar == 0.0:
-            return OverlapResult.from_xi(
-                _xi_pancake(cloud.sigma_perp_bar, w0_bar), w0_bar, "closed_form"
-            )
-        return xi_gouy_compensated(cloud, w0_bar)
-    if variant == FULL_GAUSSIAN:
-        return xi_full_compensation(cloud, w0_bar)
-    raise ValueError(f"unknown phase variant {variant!r}")

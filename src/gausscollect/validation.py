@@ -2,7 +2,7 @@
 
 Each suite pits an independent evaluation route against the production
 one: closed forms and axial quadratures against the brute-force overlap
-integral, the closed-form optimal waist against golden-section search,
+integral, the closed-form optimal waist against the numeric optimizer,
 and the exact amplitude equations against the adiabatic envelope.
 """
 
@@ -108,7 +108,7 @@ def validate_overlap(trials: int = 10, tol: float = 1e-6, seed: int = 20240817) 
 
 
 def validate_optimum(trials: int = 20, tol: float = 1e-6, seed: int = 20240818) -> ValidationReport:
-    """Closed-form optimal waist vs golden-section search on its own model."""
+    """Closed-form optimal waist vs the numeric optimizer on its own model."""
     report = ValidationReport("optimum")
     points = sample_small_cloud_points(trials, seed)
     worst = 0.0

@@ -4,26 +4,27 @@ For a zero-length cloud the optimal waist has a closed form (the
 stationarity condition of the small-cloud overlap is a cubic in the
 squared waist, solved by Cardano's formula with the principal complex
 cube root).  Everywhere else the per-atom collection efficiency is
-maximized numerically: a log-spaced coarse scan brackets the global
-maximum, then golden-section refinement localizes it.  Nothing here
-assumes the objective is unimodal over the full bracket.
+maximized numerically: a 64-point log-spaced coarse scan, evaluated
+for all its waists in one batched call, brackets the global maximum,
+then bounded Brent refinement (parabolic interpolation safeguarded by
+golden-section steps) localizes it.  Nothing here assumes the
+objective is unimodal over the full bracket.
 
-Sweep cells are independent pure computations; cells may be evaluated
-concurrently and are assembled by index, so the result is deterministic
-regardless of scheduling.
+Sweep cells are independent pure computations, evaluated in grid order;
+a cell that fails is recorded with a status tag instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .ensemble_model import CloudGeometry, PHASE_VARIANTS
-from .overlap_engine import compute_xi, xi_small_cloud
-from .special_math import QuadratureError
+from .overlap_engine import compute_xi, geometric_factors, xi_small_cloud
 
 __all__ = [
     "OptimizationError",
@@ -35,10 +36,6 @@ __all__ = [
     "default_bracket",
     "sweep",
 ]
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
 
 class OptimizationError(RuntimeError):
     """The maximizer could not make sense of the objective."""
@@ -58,6 +55,15 @@ class OptimumRecord:
     scan: tuple | None = field(default=None, repr=False, compare=False)
 
 
+def _check_axes(sp: np.ndarray, sz: np.ndarray) -> None:
+    if sp.size == 0 or sz.size == 0:
+        raise ValueError("sweep axes must be non-empty")
+    if np.any(sp <= 0) or np.any(sz <= 0):
+        raise ValueError("sweep axes must be positive")
+    if np.any(np.diff(sp) <= 0) or np.any(np.diff(sz) <= 0):
+        raise ValueError("sweep axes must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Optima on a (sigma_perp x sigma_z) grid, row-major in sigma_perp."""
@@ -70,12 +76,7 @@ class SweepGrid:
     def __post_init__(self):
         sp = np.asarray(self.sigma_perp_values, dtype=float)
         sz = np.asarray(self.sigma_z_values, dtype=float)
-        if sp.size == 0 or sz.size == 0:
-            raise ValueError("sweep axes must be non-empty")
-        if np.any(sp <= 0) or np.any(sz <= 0):
-            raise ValueError("sweep axes must be positive")
-        if np.any(np.diff(sp) <= 0) or np.any(np.diff(sz) <= 0):
-            raise ValueError("sweep axes must be strictly increasing")
+        _check_axes(sp, sz)
         if len(self.records) != sp.size or any(len(r) != sz.size for r in self.records):
             raise ValueError("records matrix must match the axis lengths")
         sp.setflags(write=False)
@@ -84,19 +85,27 @@ class SweepGrid:
         object.__setattr__(self, "sigma_z_values", sz)
 
 
-def maximize_scalar(f, lo: float, hi: float, *, coarse: int = 64, tol: float = 1e-6):
+def maximize_scalar(
+    f, lo: float, hi: float, *, coarse: int = 64, tol: float = 1e-6, f_batch=None
+):
     """Global-then-local maximization of ``f`` on ``[lo, hi]``.
 
     Log-spaced scan of ``coarse`` points to bracket the global maximum,
-    then golden-section refinement of the winning bracket down to a
-    relative abscissa width of ``tol``.  Returns ``(x, f(x), scan)``
-    where ``scan`` is the (abscissae, values) table of the coarse pass.
-    Raises :class:`OptimizationError` for a flat objective.
+    then bounded Brent refinement of the winning bracket to an abscissa
+    tolerance of ``tol`` relative to the bracket's lower end (the method
+    itself stops near ``sqrt(eps)`` relative, about 1.5e-8).
+    ``f_batch``, when given, evaluates ``f`` on the whole array of scan
+    abscissae in one call.  Returns ``(x, f(x), scan)`` where ``scan``
+    is the (abscissae, values) table of the coarse pass.  Raises
+    :class:`OptimizationError` for a flat or non-finite objective.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     xs = np.geomspace(lo, hi, coarse)
-    ys = np.array([f(x) for x in xs], dtype=float)
+    if f_batch is None:
+        ys = np.array([f(x) for x in xs], dtype=float)
+    else:
+        ys = np.asarray(f_batch(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         raise OptimizationError("objective returned non-finite values on the scan")
     y_min, y_max = float(ys.min()), float(ys.max())
@@ -107,25 +116,12 @@ def maximize_scalar(f, lo: float, hi: float, *, coarse: int = 64, tol: float = 1
     k = int(np.argmax(ys))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, coarse - 1)]
-
-    # golden-section on the bracket (cache edge evaluations)
-    h = b - a
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol * max(abs(a), abs(b)):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-    x_best = 0.5 * (a + b)
-    return x_best, f(x_best), (xs, ys)
+    best = minimize_scalar(
+        lambda x: -f(x), bounds=(a, b), method="bounded", options={"xatol": tol * a}
+    )
+    if not best.success or not math.isfinite(best.fun):
+        raise OptimizationError(f"refinement on [{a:g}, {b:g}] failed: {best.message}")
+    return float(best.x), float(-best.fun), (xs, ys)
 
 
 def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
@@ -181,9 +177,12 @@ def optimal_waist_numeric(
     """Numerically maximize the collection efficiency over the waist.
 
     ``profile`` is a phase-variant tag; the compensated variants are
-    re-matched to each trial waist.  ``objective`` may override the
-    efficiency function (signature ``w -> value``), which the tests use
-    to maximize the small-cloud model with the same machinery.
+    re-matched to each trial waist.  The coarse scan evaluates all its
+    waists in one :func:`geometric_factors` call, the refinement one
+    :func:`compute_xi` per step.  ``objective`` may override the
+    efficiency function (signature ``w -> value``, also used for the
+    scan), which the tests use to maximize the small-cloud model with
+    the same machinery.
     """
     if profile not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {profile!r}")
@@ -193,11 +192,15 @@ def optimal_waist_numeric(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
+    f_batch = None
     if objective is None:
         def objective(w):
             return compute_xi(cloud, w, profile).geometric_factor
 
-    w_best, g_best, scan = maximize_scalar(objective, lo, hi, tol=tol)
+        def f_batch(ws):
+            return geometric_factors(cloud, ws, profile)
+
+    w_best, g_best, scan = maximize_scalar(objective, lo, hi, tol=tol, f_batch=f_batch)
     return OptimumRecord(
         w0_max_bar=w_best,
         g_max=g_best,
@@ -209,12 +212,13 @@ def optimal_waist_numeric(
     )
 
 
-def _sweep_cell(args):
-    sp, sz, n_atoms, profile, tol = args
+def _sweep_cell(sp: float, sz: float, n_atoms: int, profile: str, tol: float):
     cloud = CloudGeometry(sp, sz, n_atoms)
     try:
         return optimal_waist_numeric(cloud, profile, tol=tol)
-    except (QuadratureError, OptimizationError) as exc:
+    except (OptimizationError, ValueError) as exc:
+        # ValueError: the |xi|^2 <= 1 guard, or a bracket outside the
+        # supported range for this cell's sigma_perp
         return OptimumRecord(
             w0_max_bar=math.nan,
             g_max=math.nan,
@@ -233,27 +237,22 @@ def sweep(
     tol: float = 1e-6,
     *,
     n_atoms: int = 1000,
-    workers: int = 1,
 ) -> SweepGrid:
     """Optimize the waist on every cell of a cloud-geometry grid.
 
-    Failed cells are recorded with a ``status`` tag instead of aborting
-    the sweep.  With ``workers > 1`` the cells run on a thread pool;
-    results are assembled by grid index, so output is identical to the
-    sequential run.
+    The axes, phase variant and tolerance are checked once, before any
+    cell runs; a cell that then fails is recorded with a ``status`` tag
+    instead of aborting the sweep.
     """
     sp_values = np.asarray(sigma_perp_values, dtype=float)
     sz_values = np.asarray(sigma_z_values, dtype=float)
-    tasks = [
-        (sp, sz, n_atoms, profile, tol)
+    _check_axes(sp_values, sz_values)
+    if profile not in PHASE_VARIANTS:
+        raise ValueError(f"unknown phase variant {profile!r}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    records = [
+        [_sweep_cell(sp, sz, n_atoms, profile, tol) for sz in sz_values]
         for sp in sp_values
-        for sz in sz_values
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_sweep_cell, tasks))
-    else:
-        flat = [_sweep_cell(t) for t in tasks]
-    n_sz = sz_values.size
-    records = [flat[i * n_sz:(i + 1) * n_sz] for i in range(sp_values.size)]
     return SweepGrid(sp_values, sz_values, profile, records)

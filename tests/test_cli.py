@@ -117,6 +117,20 @@ class TestMainExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        "xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --n-atoms 0",
+        "optimize --sigma-perp-bar 5 --sigma-z-bar 100 --n-atoms -3",
+        "sweep --grid-perp 2:5:2 --grid-z 50:100:2 --n-atoms 0",
+        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 0",
+        "dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-steps 0",
+        "validate --suite overlap --trials 0",
+        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-theta 0",
+        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-phi 0",
+    ])
+    def test_nonpositive_count_is_usage_error(self, capsys, argv):
+        assert main(argv.split()) == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_validate_exits_zero(self, capsys):
         assert main(["validate", "--suite", "dynamics"]) == EXIT_OK
         out = capsys.readouterr().out

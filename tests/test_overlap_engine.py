@@ -18,6 +18,7 @@ from gausscollect.overlap_engine import (
     OverlapResult,
     compute_xi,
     geometric_factor,
+    geometric_factors,
     xi_brute_force,
     xi_full_compensation,
     xi_gouy_compensated,
@@ -25,7 +26,8 @@ from gausscollect.overlap_engine import (
     xi_small_cloud,
     xi_uniform,
 )
-from gausscollect.waist_optimizer import optimal_waist_numeric
+from gausscollect.validation import sample_overlap_triples
+from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 
 
 def rel(a, b):
@@ -208,6 +210,58 @@ class TestInvariantsAndDispatch:
     def test_from_xi_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             OverlapResult.from_xi(1.5 + 0.0j, 3.0, "closed_form")
+
+
+VARIANTS = (UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batched_scan_equals_one_waist(self, variant):
+        # seeded clouds over the preset box, scanned over their bracket
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            cloud = CloudGeometry(
+                float(np.exp(rng.uniform(0.0, np.log(50.0)))),
+                float(np.exp(rng.uniform(0.0, np.log(1000.0)))),
+            )
+            ws = np.geomspace(*default_bracket(cloud), 64)
+            batched = geometric_factors(cloud, ws, variant)
+            single = [compute_xi(cloud, w, variant).geometric_factor for w in ws]
+            assert_allclose(batched, single, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("sz", [0.0, 5e-324, 1e-6])
+    def test_degenerate_and_regular_waists_mixed(self, variant, sz):
+        # at sz = 1e-6 the small waists still need the axial rule while
+        # the large ones are negligibly short clouds; the limits are
+        # decided per waist before any mesh exists, so no division by
+        # zero or overflow may occur for the tiniest lengths
+        sp = 3.0
+        cloud = CloudGeometry(sp, sz)
+        ws = np.geomspace(0.5, 1e4, 64)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            batched = geometric_factors(cloud, ws, variant)
+            single = [compute_xi(cloud, w, variant).geometric_factor for w in ws]
+        assert_allclose(batched, single, rtol=1e-13, atol=0.0)
+        pancake = 6.0 * ws**2 / (ws**2 + 2.0 * sp * sp) ** 2
+        assert_allclose(batched, pancake, rtol=1e-9)
+
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_axial_rule_against_brute_force(self, variant):
+        for sp, sz, w0 in sample_overlap_triples(3, seed=11):
+            cloud = CloudGeometry(sp, sz)
+            fast = compute_xi(cloud, w0, variant)
+            oracle = xi_brute_force(cloud, w0, make_profile(variant, w0))
+            assert abs(fast.xi - oracle.xi) <= 1e-10
+            assert rel(fast.xi_abs_sq, oracle.xi_abs_sq) <= 1e-10
+
+    def test_rejects_bad_waists(self):
+        cloud = CloudGeometry(2.0, 50.0)
+        with pytest.raises(ValueError, match="w0_bar"):
+            geometric_factors(cloud, [3.0, 0.0], GOUY_COMPENSATED)
+        with pytest.raises(ValueError, match="phase variant"):
+            geometric_factors(cloud, [3.0], "bespoke")
 
 
 class TestAxialQuadratureRoutes:

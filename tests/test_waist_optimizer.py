@@ -139,11 +139,10 @@ class TestSweep:
         sz = [50.0, 100.0, 200.0]
         a = sweep(sp, sz, GOUY_COMPENSATED, 1e-6)
         b = sweep(sp, sz, GOUY_COMPENSATED, 1e-6)
-        c = sweep(sp, sz, GOUY_COMPENSATED, 1e-6, workers=4)
-        for row_a, row_b, row_c in zip(a.records, b.records, c.records):
-            for ra, rb, rc in zip(row_a, row_b, row_c):
-                assert ra.w0_max_bar == rb.w0_max_bar == rc.w0_max_bar
-                assert ra.g_max == rb.g_max == rc.g_max
+        for row_a, row_b in zip(a.records, b.records):
+            for ra, rb in zip(row_a, row_b):
+                assert ra.w0_max_bar == rb.w0_max_bar
+                assert ra.g_max == rb.g_max
 
     def test_narrow_short_corner_collects_well(self):
         # N * G of a few and above in the narrow/short corner
@@ -158,16 +157,35 @@ class TestSweep:
     def test_cell_failure_recorded_not_raised(self, monkeypatch):
         import gausscollect.waist_optimizer as mod
 
-        def broken(cloud, profile, bracket=None, tol=1e-6, **kw):
-            if cloud.sigma_perp_bar > 3.0:
-                raise mod.OptimizationError("injected")
-            return optimal_waist_numeric(cloud, profile, bracket, tol, **kw)
+        # the ValueError is the one OverlapResult.from_xi raises for |xi|^2 > 1
+        for error in (
+            mod.OptimizationError("injected"),
+            ValueError("|xi|^2 = 1.5 exceeds the normalization bound of 1"),
+        ):
+            def broken(cloud, profile, bracket=None, tol=1e-6, error=error, **kw):
+                if cloud.sigma_perp_bar > 3.0:
+                    raise error
+                return optimal_waist_numeric(cloud, profile, bracket, tol, **kw)
 
-        monkeypatch.setattr(mod, "optimal_waist_numeric", broken)
-        grid = mod.sweep([2.0, 5.0], [50.0], UNIFORM, 1e-6)
-        assert grid.records[0][0].status == "ok"
-        assert grid.records[1][0].status.startswith("failed")
-        assert math.isnan(grid.records[1][0].g_max)
+            monkeypatch.setattr(mod, "optimal_waist_numeric", broken)
+            grid = mod.sweep([2.0, 5.0], [50.0], UNIFORM, 1e-6)
+            assert grid.records[0][0].status == "ok"
+            assert grid.records[1][0].status == f"failed: {type(error).__name__}"
+            assert math.isnan(grid.records[1][0].g_max)
+
+    def test_sweep_arguments_raise_before_any_cell(self, monkeypatch):
+        import gausscollect.waist_optimizer as mod
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the arguments were checked")
+
+        monkeypatch.setattr(mod, "optimal_waist_numeric", no_cell)
+        with pytest.raises(ValueError, match="phase variant"):
+            mod.sweep([2.0], [50.0], "bespoke", 1e-6)
+        with pytest.raises(ValueError, match="tol"):
+            mod.sweep([2.0], [50.0], UNIFORM, 0.0)
+        with pytest.raises(ValueError, match="increasing"):
+            mod.sweep([5.0, 2.0], [50.0], UNIFORM, 1e-6)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
