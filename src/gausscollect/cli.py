@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -36,7 +37,13 @@ from .far_field import direction_grid, structure_factor
 from .overlap_engine import compute_xi
 from .special_math import QuadratureError
 from .validation import run_suite
-from .waist_optimizer import OptimizationError, optimal_waist_numeric, sweep
+from .waist_optimizer import (
+    OptimizationError,
+    check_bracket,
+    default_bracket,
+    optimal_waist_numeric,
+    sweep,
+)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main", "PRESETS"]
 
@@ -104,7 +111,10 @@ _FLAG_FIELDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: construction costs far more than parsing,
+    # and parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="gausscollect",
         description="Photon collection from trapped atomic ensembles into Gaussian modes",
@@ -262,6 +272,14 @@ def _validate_command_inputs(config: RunConfig):
         value = getattr(config, name)
         if value < 1:
             raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
+    if cmd == "optimize":
+        cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
+        try:
+            check_bracket(*default_bracket(cloud))
+        except ValueError as exc:
+            raise ConfigError(
+                f"optimize: sigma_perp_bar {config.sigma_perp_bar} puts the waist search {exc}"
+            ) from exc
 
 
 def _resolved_dict(config: RunConfig) -> dict:

@@ -8,9 +8,11 @@ the fast-decaying excited state; its accumulated square ``B(t)`` carries
 the photon-number time dependence, and the emitted photon number is
 ``n(t) = G * N * B(t)`` with the per-atom collection efficiency ``G``.
 
-A fixed-step 4th-order integrator for the exact two-amplitude equations
-is included to validate the adiabatic envelope, plus the single-emitter
-collected fraction ``(6 / w0^2) integral |b|^2 dt``.
+The exact two-amplitude equations are linear, ``y' = A(t) y``, so one
+classical RK4 step is a 2x2 propagator ``y <- M_k y``.  All propagators
+are built at once from vectorized pulse evaluations and then applied in
+order; this integrator validates the adiabatic envelope and feeds the
+single-emitter collected fraction ``(6 / w0^2) integral |b|^2 dt``.
 """
 
 from __future__ import annotations
@@ -206,6 +208,15 @@ def integrate_amplitudes(
     in decay-rate units and exists so the conservative limit can be
     integrated for validation.  Halving the step must change results
     below 1e-8 for the step to be trusted (property checked in tests).
+
+    The equations are linear, ``y' = A(t) y``, so the RK4 step from
+    ``t_k`` is ``y <- M_k y`` with ``K1 = A(t_k)``,
+    ``K2 = A(t_k + h/2) (I + h/2 K1)``, ``K3 = A(t_k + h/2) (I + h/2 K2)``,
+    ``K4 = A(t_k + h) (I + h K3)`` and
+    ``M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``.  Every ``M_k`` is built
+    from three vectorized pulse evaluations; only the ordered product
+    with the state runs step by step, over Python complex scalars.  The
+    grid takes ``ceil(t_end / step)`` equal steps ending at ``t_end``.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -217,27 +228,35 @@ def integrate_amplitudes(
     n_steps = int(math.ceil(t_end / step))
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    c = np.empty(n_steps + 1, dtype=complex)
-    b = np.empty(n_steps + 1, dtype=complex)
-    c[0], b[0] = complex(c0), complex(b0)
+    t = times[:-1]
 
-    def deriv(t, y):
-        omega = float(pulse.rabi(t))
-        phase = np.exp(1j * detuning * t)
-        dc = 1j * omega * y[1] * phase
-        db = -0.5 * gamma * y[1] + 1j * omega * y[0] / phase
-        return np.array([dc, db])
+    def generator(s):
+        # A(s) for every time in s, shape (s.size, 2, 2)
+        omega = pulse.rabi(s)
+        phase = np.exp(1j * detuning * s)
+        a = np.zeros((s.size, 2, 2), dtype=complex)
+        a[:, 0, 1] = 1j * omega * phase
+        a[:, 1, 0] = 1j * omega / phase
+        a[:, 1, 1] = -0.5 * gamma
+        return a
 
-    y = np.array([c[0], b[0]])
-    for k in range(n_steps):
-        t = times[k]
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        c[k + 1], b[k + 1] = y
-    return AmplitudeTrajectory(times=times, c_values=c, b_values=b)
+    eye = np.eye(2)
+    k1 = generator(t)
+    a_mid = generator(t + 0.5 * h)
+    k2 = a_mid @ (eye + 0.5 * h * k1)
+    k3 = a_mid @ (eye + 0.5 * h * k2)
+    k4 = generator(t + h) @ (eye + h * k3)
+    propagators = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y_c, y_b = complex(c0), complex(b0)
+    c, b = [y_c], [y_b]
+    for m00, m01, m10, m11 in zip(*propagators.reshape(n_steps, 4).T.tolist()):
+        y_c, y_b = m00 * y_c + m01 * y_b, m10 * y_c + m11 * y_b
+        c.append(y_c)
+        b.append(y_b)
+    return AmplitudeTrajectory(
+        times=times, c_values=np.array(c, dtype=complex), b_values=np.array(b, dtype=complex)
+    )
 
 
 def photon_number(

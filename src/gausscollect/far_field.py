@@ -31,6 +31,10 @@ __all__ = [
     "structure_factor",
 ]
 
+# phasors per atom block of structure_factor: keeps its temporaries near
+# a megabyte whatever the direction grid
+_BLOCK_PHASORS = 100_000
+
 
 @dataclass(frozen=True)
 class DirectionGrid:
@@ -98,45 +102,57 @@ def structure_factor(
     """Monte-Carlo coherent emission pattern over a direction grid.
 
     ``S(n_hat) = |mean_j exp(i [(z_hat - n_hat) . r_j + phi(r_j)])|^2``
-    over ``count`` atoms sampled from the cloud density.  Determinstic
+    over ``count`` atoms sampled from the cloud density.  Deterministic
     for a fixed seed.  The per-direction standard error of ``S`` is
     estimated from the sample variances of the phasor components
     (delta method) and returned alongside.
+
+    The atoms are visited in blocks of about ``_BLOCK_PHASORS`` phasors,
+    so the temporaries stay small for any direction grid.  Each block
+    adds to five per-direction moments of the phasor components: the
+    sums of ``cos``, ``sin``, ``cos^2``, ``sin^2`` and ``cos sin``.  The
+    components are taken relative to the first atom's phasor, so the
+    variances do not cancel catastrophically where the phases hardly
+    spread (near the forward direction).
     """
     positions = sample_positions(cloud, count, seed)
     spin_phase = phase_at_points(profile, positions)
 
     thetas = directions.theta_values
     phis = directions.phi_values
-    n_th, n_ph = thetas.size, phis.size
-    intensity = np.empty((n_th, n_ph))
-    stderr = np.empty((n_th, n_ph))
 
-    # q = z_hat - n_hat for every direction
+    # q = z_hat - n_hat for every direction, one column per direction
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)
-    q = np.empty((n_th, n_ph, 3))
-    q[..., 0] = -sin_t[:, None] * np.cos(phis)[None, :]
-    q[..., 1] = -sin_t[:, None] * np.sin(phis)[None, :]
-    q[..., 2] = (1.0 - cos_t)[:, None]
-    q_flat = q.reshape(-1, 3)
+    q = np.empty((3, thetas.size, phis.size))
+    q[0] = -sin_t[:, None] * np.cos(phis)[None, :]
+    q[1] = -sin_t[:, None] * np.sin(phis)[None, :]
+    q[2] = (1.0 - cos_t)[:, None]
+    q = q.reshape(3, -1)
+
+    first = positions[0] @ q + spin_phase[0]
+    shift_r, shift_i = np.cos(first), np.sin(first)
+    sum_r, sum_i, sum_rr, sum_ii, sum_ri = np.zeros((5, q.shape[1]))
+    block = max(1, _BLOCK_PHASORS // q.shape[1])
+    for start in range(0, count, block):
+        phases = positions[start:start + block] @ q + spin_phase[start:start + block, None]
+        re = np.cos(phases) - shift_r
+        im = np.sin(phases) - shift_i
+        sum_r += re.sum(axis=0)
+        sum_i += im.sum(axis=0)
+        sum_rr += np.einsum("ij,ij->j", re, re)
+        sum_ii += np.einsum("ij,ij->j", im, im)
+        sum_ri += np.einsum("ij,ij->j", re, im)
 
     m = float(count)
-    chunk = max(1, int(2_000_000 // max(count, 1)))
-    for start in range(0, q_flat.shape[0], chunk):
-        block = q_flat[start:start + chunk]
-        phases = positions @ block.T + spin_phase[:, None]
-        cos_p = np.cos(phases)
-        sin_p = np.sin(phases)
-        mr = cos_p.mean(axis=0)
-        mi = sin_p.mean(axis=0)
-        s_val = mr * mr + mi * mi
-        var_r = cos_p.var(axis=0) / m
-        var_i = sin_p.var(axis=0) / m
-        cov = ((cos_p * sin_p).mean(axis=0) - mr * mi) / m
-        var_s = 4.0 * (mr * mr * var_r + 2.0 * mr * mi * cov + mi * mi * var_i)
-        idx = np.arange(start, start + block.shape[0])
-        intensity.flat[idx] = s_val
-        stderr.flat[idx] = np.sqrt(np.maximum(var_s, 0.0))
+    dr, di = sum_r / m, sum_i / m
+    mr, mi = shift_r + dr, shift_i + di
+    var_r = (sum_rr / m - dr * dr) / m
+    var_i = (sum_ii / m - di * di) / m
+    cov = (sum_ri / m - dr * di) / m
+    var_s = 4.0 * (mr * mr * var_r + 2.0 * mr * mi * cov + mi * mi * var_i)
+    shape = (thetas.size, phis.size)
+    intensity = (mr * mr + mi * mi).reshape(shape)
+    stderr = np.sqrt(np.maximum(var_s, 0.0)).reshape(shape)
 
     forward = None
     forward_rows = np.nonzero(thetas == 0.0)[0]

@@ -34,6 +34,7 @@ __all__ = [
     "optimal_waist_analytic",
     "optimal_waist_numeric",
     "default_bracket",
+    "check_bracket",
     "sweep",
 ]
 
@@ -130,6 +131,12 @@ def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
     return max(0.5, 0.2 * base), 50.0 * base
 
 
+def check_bracket(lo: float, hi: float):
+    """Raise ``ValueError`` unless ``[lo, hi]`` lies in the supported waists [0.5, 1e4]."""
+    if not (0.5 <= lo < hi <= 1e4):
+        raise ValueError(f"bracket [{lo}, {hi}] outside the supported [0.5, 1e4]")
+
+
 def optimal_waist_analytic(cloud: CloudGeometry) -> OptimumRecord:
     """Closed-form optimal waist in the small-cloud regime.
 
@@ -187,8 +194,7 @@ def optimal_waist_numeric(
     if profile not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {profile!r}")
     lo, hi = bracket if bracket is not None else default_bracket(cloud)
-    if not (0.5 <= lo < hi <= 1e4):
-        raise ValueError(f"bracket [{lo}, {hi}] outside the supported [0.5, 1e4]")
+    check_bracket(lo, hi)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 

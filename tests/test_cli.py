@@ -96,6 +96,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("sweep --grid-perp nope --grid-z 1:2:2".split())
 
+    def test_repeated_calls_do_not_leak_values(self):
+        first = parse_config(
+            "optimize --sigma-perp-bar 2 --sigma-z-bar 10 --phase gouy --tol 1e-3".split()
+        )
+        second = parse_config("optimize --sigma-perp-bar 2 --sigma-z-bar 10".split())
+        assert (first.phase, first.tol) == (GOUY_COMPENSATED, 1e-3)
+        assert (second.phase, second.tol) == (UNIFORM, 1e-6)
+
     def test_presets_known(self):
         assert sorted(PRESETS) == [
             "fig2a1", "fig2a2", "fig2a3", "fig2b1", "fig2b2", "fig2b3",
@@ -117,19 +125,26 @@ class TestMainExitCodes:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        "xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --n-atoms 0",
-        "optimize --sigma-perp-bar 5 --sigma-z-bar 100 --n-atoms -3",
-        "sweep --grid-perp 2:5:2 --grid-z 50:100:2 --n-atoms 0",
-        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 0",
-        "dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-steps 0",
-        "validate --suite overlap --trials 0",
-        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-theta 0",
-        "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-phi 0",
-    ])
-    def test_nonpositive_count_is_usage_error(self, capsys, argv):
+    _USAGE_CASES = [
+        ("xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --n-atoms 0", "must be >= 1"),
+        ("optimize --sigma-perp-bar 5 --sigma-z-bar 100 --n-atoms -3", "must be >= 1"),
+        ("sweep --grid-perp 2:5:2 --grid-z 50:100:2 --n-atoms 0", "must be >= 1"),
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 0", "must be >= 1"),
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-steps 0",
+         "must be >= 1"),
+        ("validate --suite overlap --trials 0", "must be >= 1"),
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-theta 0", "must be >= 1"),
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-phi 0", "must be >= 1"),
+        # the default waist bracket leaves the supported [0.5, 1e4]
+        ("optimize --sigma-perp-bar 200 --sigma-z-bar 10", "outside the supported"),
+        ("optimize --sigma-perp-bar 0.005 --sigma-z-bar 10", "outside the supported"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", _USAGE_CASES,
+                             ids=[argv for argv, _ in _USAGE_CASES])
+    def test_nonpositive_count_is_usage_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_USAGE
-        assert "must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_validate_exits_zero(self, capsys):
         assert main(["validate", "--suite", "dynamics"]) == EXIT_OK

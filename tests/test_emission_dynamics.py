@@ -151,6 +151,53 @@ class TestAmplitudeEquations:
             integrate_amplitudes(weak_pulse, 0.0, 10.0, 2.0)
 
 
+def rk4_loop_reference(pulse, detuning, t_end, step, c0=1.0, b0=0.0, gamma=1.0):
+    """Per-step RK4 on the state vector, one scalar pulse call per stage."""
+    n_steps = int(math.ceil(t_end / step))
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    c = np.empty(n_steps + 1, dtype=complex)
+    b = np.empty(n_steps + 1, dtype=complex)
+    c[0], b[0] = complex(c0), complex(b0)
+
+    def deriv(t, y):
+        omega = float(pulse.rabi(t))
+        phase = np.exp(1j * detuning * t)
+        dc = 1j * omega * y[1] * phase
+        db = -0.5 * gamma * y[1] + 1j * omega * y[0] / phase
+        return np.array([dc, db])
+
+    y = np.array([c[0], b[0]])
+    for k in range(n_steps):
+        t = times[k]
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c[k + 1], b[k + 1] = y
+    return times, c, b
+
+
+_SAMPLED_TIMES = np.linspace(0.0, 80.0, 41)
+
+
+@pytest.mark.parametrize("pulse, detuning, t_end, step, kwargs", [
+    (PulseShape.constant(0.05), 0.0, 200.0, 0.01, {}),
+    (PulseShape.gaussian(0.05, 50.0, 10.0), 2.0, 150.0, 0.01, {}),
+    (PulseShape.sampled(_SAMPLED_TIMES, 0.05 * (1.0 + np.sin(0.1 * _SAMPLED_TIMES))),
+     0.5, 100.0, 0.01, {"c0": 0.6, "b0": 0.8j}),
+    (PulseShape.constant(0.05), 0.0, 100.0, 0.01, {"gamma": 0.0}),
+    (PulseShape.constant(0.05), 0.3, 10.0, 0.03, {}),
+], ids=["constant", "gaussian_detuned", "sampled", "conservative", "non_integer_steps"])
+def test_propagators_match_per_step_loop(pulse, detuning, t_end, step, kwargs):
+    traj = integrate_amplitudes(pulse, detuning, t_end, step, **kwargs)
+    times, c, b = rk4_loop_reference(pulse, detuning, t_end, step, **kwargs)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.c_values - c)) <= 1e-12
+    assert np.max(np.abs(traj.b_values - b)) <= 1e-12
+
+
 class TestPhotonNumber:
     def test_starts_at_zero_and_monotone(self, weak_pulse, long_grid):
         cloud = CloudGeometry(5.0, 100.0, n_atoms=50)
