@@ -21,7 +21,7 @@ from .overlap_engine import (
     xi_small_cloud,
     xi_uniform,
 )
-from .special_math import QuadratureError, QuadratureRule, erfcx, gauss_hermite, integrate_adaptive
+from .special_math import QuadratureError, QuadratureRule, gauss_hermite, integrate_adaptive
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "xi_brute_force",
     "QuadratureError",
     "QuadratureRule",
-    "erfcx",
     "gauss_hermite",
     "integrate_adaptive",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .emission_dynamics import PulseShape, photon_number
+from .emission_dynamics import PulseShape, check_time_grid, photon_number
 from .ensemble_model import (
     FULL_GAUSSIAN,
     GOUY_COMPENSATED,
@@ -168,8 +168,8 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         a, b, n = float(a_str), float(b_str), int(n_str)
     except ValueError as exc:
         raise ConfigError(f"{name}: expected A:B:N, got {spec!r}") from exc
-    if not (0.0 < a <= b) or n < 1:
-        raise ConfigError(f"{name}: need 0 < A <= B and N >= 1, got {spec!r}")
+    if not (0.0 < a <= b < math.inf) or n < 1:
+        raise ConfigError(f"{name}: need 0 < A <= B < inf and N >= 1, got {spec!r}")
     return np.geomspace(a, b, n) if n > 1 else np.array([a])
 
 
@@ -212,6 +212,8 @@ def parse_config(argv) -> RunConfig:
         for key in ("wavelength_nm", "sigma_perp_um", "sigma_z_um"):
             if physical[key] is None:
                 raise ConfigError(f"physical units: missing {key.replace('_', '-')}")
+        if not physical["wavelength_nm"] > 0.0:
+            raise ConfigError("physical units: wavelength_nm must be positive")
         k_e = 2.0 * math.pi / physical["wavelength_nm"]
         values["sigma_perp_bar"] = k_e * physical["sigma_perp_um"] * 1000.0
         values["sigma_z_bar"] = k_e * physical["sigma_z_um"] * 1000.0
@@ -244,6 +246,10 @@ def _require(config: RunConfig, *names: str):
 
 def _validate_command_inputs(config: RunConfig):
     cmd = config.command
+    for name, kind in _FLAG_FIELDS.items():
+        value = getattr(config, name, None)
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{cmd}: {name} must be finite, got {value}")
     if cmd == "xi":
         _require(config, "sigma_perp_bar", "sigma_z_bar", "waist_bar")
     elif cmd == "optimize":
@@ -272,7 +278,9 @@ def _validate_command_inputs(config: RunConfig):
         value = getattr(config, name)
         if value < 1:
             raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
-    if cmd == "optimize":
+    if cmd == "dynamics":
+        _dynamics_drive(config)
+    elif cmd == "optimize":
         cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
         try:
             check_bracket(*default_bracket(cloud))
@@ -280,6 +288,19 @@ def _validate_command_inputs(config: RunConfig):
             raise ConfigError(
                 f"optimize: sigma_perp_bar {config.sigma_perp_bar} puts the waist search {exc}"
             ) from exc
+
+
+def _dynamics_drive(config: RunConfig):
+    """The drive pulse and time grid of ``dynamics``, checked by their own rules."""
+    try:
+        if config.pulse == "constant":
+            pulse = PulseShape.constant(config.rabi)
+        else:
+            pulse = PulseShape.gaussian(config.rabi, config.pulse_center, config.pulse_width)
+        t_grid = check_time_grid(np.linspace(0.0, config.t_end, config.t_steps + 1))
+    except ValueError as exc:
+        raise ConfigError(f"dynamics: {exc}") from exc
+    return pulse, t_grid
 
 
 def _resolved_dict(config: RunConfig) -> dict:
@@ -394,18 +415,15 @@ def _cmd_sweep(config: RunConfig) -> int:
         for row in grid.records
         for record in row
     ]
-    failures = sum(1 for row in rows if row[-1] != "ok")
+    # "edge" cells carry a value and do not count as failures
+    failures = sum(1 for row in rows if row[-1].startswith("failed"))
     _emit(config, _SWEEP_HEADER, rows, {"failed_cells": failures})
     return EXIT_NUMERICAL if failures == len(rows) else EXIT_OK
 
 
 def _cmd_dynamics(config: RunConfig) -> int:
     cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
-    if config.pulse == "constant":
-        pulse = PulseShape.constant(config.rabi)
-    else:
-        pulse = PulseShape.gaussian(config.rabi, config.pulse_center, config.pulse_width)
-    t_grid = np.linspace(0.0, config.t_end, config.t_steps + 1)
+    pulse, t_grid = _dynamics_drive(config)
     curve = photon_number(cloud, config.phase, config.waist_bar, pulse, t_grid)
     header = ["t", "beta", "big_b", "n"]
     rows = [

@@ -32,6 +32,7 @@ __all__ = [
     "AmplitudeTrajectory",
     "EmissionCurve",
     "adiabatic_beta",
+    "check_time_grid",
     "integrate_amplitudes",
     "photon_number",
     "single_atom_collected",
@@ -144,7 +145,9 @@ class EmissionCurve:
     overlap: OverlapResult | None = None
 
 
-def _check_grid(t_grid) -> np.ndarray:
+def check_time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array; ``ValueError`` unless it is 1-d, strictly
+    increasing from ``t >= 0`` and has at least two points."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid must be 1-d with at least two points")
@@ -163,7 +166,7 @@ def adiabatic_beta(pulse: PulseShape, t_grid) -> EmissionCurve:
     between grid points, with the per-interval subdivision refined until
     the endpoint value is stable to 1e-8 relative.
     """
-    t = _check_grid(t_grid)
+    t = check_time_grid(t_grid)
 
     def beta_sq(x):
         b = 2.0 * pulse.rabi(x) * np.exp(-2.0 * pulse.pump_integral(x))

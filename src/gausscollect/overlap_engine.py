@@ -25,8 +25,8 @@ Evaluation routes:
 * a brute-force radial x axial tensor quadrature of the full integral,
   used as the oracle for everything above, and an independent
   beam-width/curvature form of the Gouy-compensated overlap, integrated
-  by Gauss-Hermite with an adaptive Gauss-Kronrod fallback, which the
-  tests cross-check against the production form.
+  by Gauss-Hermite with an adaptive QUADPACK fallback (both from
+  scipy), which the tests cross-check against the production form.
 
 :func:`geometric_factors` evaluates a whole array of waists in one numpy
 pass on one shared axial mesh; :func:`compute_xi` and the per-variant
@@ -323,8 +323,8 @@ def _hermite_axial_integral(smooth, sigma_z: float, core_scale: float, tol: floa
 
     Gauss-Hermite after ``z = sqrt(2) sz u`` (order 128, checked by
     doubling); when the integrand structure near the focus is too fine
-    for the Hermite nodes the doubling check fails and an adaptive
-    panel integration with a graded mesh takes over.  A quadrature
+    for the Hermite nodes the doubling check fails and adaptive QUADPACK
+    integration, split at graded breakpoints, takes over.  A quadrature
     independent of the fixed axial rule, kept for the oracle below.
     """
     s = math.sqrt(2.0) * sigma_z

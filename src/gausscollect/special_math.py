@@ -1,36 +1,33 @@
-"""Stable special functions and quadrature primitives.
+"""Quadrature primitives of the curvature-form oracle, on scipy.
 
-Everything in this module is a pure function of its inputs.  Quadrature
-rules are cached and frozen after construction, so concurrent use from
-many threads is safe.
+:func:`gauss_hermite` serves the rules of ``scipy.special.roots_hermite``
+as cached, read-only :class:`QuadratureRule` objects, and
+:func:`integrate_adaptive` wraps ``scipy.integrate.quad`` (QUADPACK) for
+complex integrands, raising :class:`QuadratureError` where QUADPACK
+reports non-convergence.  Production overlaps use neither: they take
+the fixed axial rule and ``scipy.special.erfcx`` in ``overlap_engine``.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.integrate import quad
+from scipy.special import roots_hermite
 
 __all__ = [
     "QuadratureError",
     "QuadratureRule",
     "AdaptiveResult",
-    "erfcx",
     "gauss_hermite",
     "integrate_adaptive",
 ]
 
-SQRT_PI = math.sqrt(math.pi)
-
-# exp(x^2) overflows beyond this point, which bounds the reflection branch
-_ERFCX_NEG_LIMIT = math.sqrt(math.log(sys.float_info.max))
-_ERFCX_SPLIT = 2.0
+# points per panel of QUADPACK's 21-point Gauss-Kronrod rule
+_QUADPACK_PANEL_POINTS = 21
 
 
 class QuadratureError(RuntimeError):
@@ -41,69 +38,6 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error = error
 
-
-# ---------------------------------------------------------------------------
-# scaled complementary error function
-# ---------------------------------------------------------------------------
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function ``exp(x^2) * erfc(x)``.
-
-    Evaluated without forming the overflowing/underflowing factors
-    separately: below ``x = 2`` the product ``exp(x^2) * erfc(x)`` is
-    formed directly (both factors are benign there), above it the
-    Laplace continued fraction for ``erfc`` is summed, which already
-    yields the scaled function.  Relative error is below 1e-13 for
-    ``x >= 0``.
-
-    Negative arguments use the reflection ``erfcx(-x) = 2 exp(x^2) -
-    erfcx(x)`` and raise ``OverflowError`` once ``exp(x^2)`` leaves the
-    double range (``x < -26.64``).
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"erfcx argument must be finite, got {x!r}")
-    if x < 0.0:
-        if x < -_ERFCX_NEG_LIMIT:
-            raise OverflowError(
-                f"erfcx({x}) exceeds the floating range (reflection branch)"
-            )
-        return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x < _ERFCX_SPLIT:
-        return math.exp(x * x) * math.erfc(x)
-    if x > 1e8:
-        # two-term asymptotics are already exact to double precision, and
-        # the continued-fraction seed would pollute astronomical arguments
-        return 1.0 / (x * SQRT_PI)
-    return _erfcx_continued_fraction(x)
-
-
-def _erfcx_continued_fraction(x: float) -> float:
-    # sqrt(pi) exp(x^2) erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # summed with the modified Lentz algorithm.
-    tiny = 1.0e-300
-    f = tiny
-    c = tiny
-    d = 0.0
-    for n in range(1, 301):
-        a = 1.0 if n == 1 else 0.5 * (n - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 2.5e-16:
-            return f / SQRT_PI
-    raise QuadratureError(f"erfcx continued fraction failed to converge at x={x}")
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Hermite rules
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -129,8 +63,8 @@ class QuadratureRule:
 def gauss_hermite(n: int) -> QuadratureRule:
     """Gauss-Hermite rule with ``n`` points, exact to polynomial degree 2n-1.
 
-    Nodes are the eigenvalues of the symmetric Jacobi matrix of the
-    Hermite recurrence (Golub-Welsch); rules are cached per ``n``.
+    Nodes and weights come from ``scipy.special.roots_hermite``; rules
+    are cached per ``n``.
     """
     n = int(n)
     if not 1 <= n <= 512:
@@ -140,96 +74,17 @@ def gauss_hermite(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _hermite_rule(n: int) -> QuadratureRule:
-    if n == 1:
-        return QuadratureRule(np.array([0.0]), np.array([SQRT_PI]), "gauss-hermite")
-    offdiag = np.sqrt(np.arange(1, n) / 2.0)
-    nodes = eigvalsh_tridiagonal(np.zeros(n), offdiag)
-    # enforce the exact +/- symmetry of the rule
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = _hermite_weights(nodes, n)
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes, weights, "gauss-hermite")
-
-
-def _hermite_weights(nodes: np.ndarray, n: int) -> np.ndarray:
-    """Golub-Welsch weights ``1 / sum_k p_k(x)^2`` by scaled recurrence.
-
-    The orthonormal-polynomial sum is accumulated with running
-    renormalization so extreme nodes (where the eigenvector components
-    underflow LAPACK's double range) still get relatively accurate
-    weights; weights below the subnormal floor are clamped to it to
-    keep them positive, which perturbs integrals by well under one ulp
-    of the total mass sqrt(pi).
-    """
-    x = nodes
-    p_prev = np.ones_like(x)      # p~_0 = p_0 / p_0
-    p_curr = np.zeros_like(x)
-    total = np.ones_like(x)       # sum of p~_k^2 at the current scale
-    log_scale = np.zeros_like(x)
-    b = np.sqrt(np.arange(1, n) / 2.0)
-    for k in range(n - 1):
-        p_next = (x * p_prev - (b[k - 1] if k > 0 else 0.0) * p_curr) / b[k]
-        p_curr, p_prev = p_prev, p_next
-        total = total + p_prev * p_prev
-        big = np.abs(p_prev) > 1e120
-        if np.any(big):
-            scale = np.where(big, 1e-120, 1.0)
-            p_prev = p_prev * scale
-            p_curr = p_curr * scale
-            total = total * scale * scale
-            log_scale = log_scale - np.log(scale)
-    # p_0^2 = 1/sqrt(pi), so w = sqrt(pi) / (true total)
-    log_w = 0.5 * math.log(math.pi) - np.log(total) - 2.0 * log_scale
-    with np.errstate(under="ignore"):
-        w = np.exp(log_w)
-    return np.maximum(w, 5e-324)
-
-
-# ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod integration
-# ---------------------------------------------------------------------------
-
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants)
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-# Gauss-7 weights sit on every second Kronrod node
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+    nodes, weights = roots_hermite(n)
+    # the extreme weights of large rules underflow to zero; the subnormal
+    # floor keeps them positive and moves integrals by well under one ulp
+    # of the total mass sqrt(pi)
+    return QuadratureRule(nodes, np.maximum(weights, 5e-324), "gauss-hermite")
 
 
 class AdaptiveResult(NamedTuple):
     value: complex
     error: float
     nevals: int
-
-
-def _panel_gk15(f: Callable, a: np.ndarray, b: np.ndarray):
-    """Vectorized GK15 on a batch of panels; returns (values, errors, nevals)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
-    vals_k = (y * _KRONROD_WEIGHTS[None, :]).sum(axis=1) * half
-    vals_g = (y[:, 1::2] * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-    errs = np.abs(vals_k - vals_g)
-    return vals_k, errs, x.size
 
 
 def integrate_adaptive(
@@ -243,57 +98,34 @@ def integrate_adaptive(
 ) -> AdaptiveResult:
     """Adaptively integrate a (possibly complex) function on ``[a, b]``.
 
-    ``f`` must accept a 1-d ndarray of abscissae and return values of the
-    same shape.  Panels between optional ``breakpoints`` are refined by
-    bisection, worst estimated error first, until the total estimate
-    drops below ``tol`` in absolute-or-relative terms.  Raises
-    :class:`QuadratureError` once ``max_evals`` evaluations are spent
-    without convergence.
+    ``f`` must accept a 1-d ndarray of abscissae and return values of
+    the same shape; it is called with one abscissa at a time.  The real
+    and imaginary parts are integrated by ``scipy.integrate.quad`` with
+    absolute and relative tolerance ``tol``, split at the optional
+    ``breakpoints``; ``error`` is the sum of the two parts' estimates
+    and ``nevals`` their evaluation count.  ``max_evals`` bounds the subdivisions at
+    ``max_evals / 21`` panels; :class:`QuadratureError` is raised when
+    QUADPACK reports that either part did not converge.
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    if breakpoints is None:
-        # seed enough panels that isolated narrow features cannot hide
-        # between the nodes of a single Kronrod panel
-        edges = list(np.linspace(a, b, 17))
-    else:
-        edges = sorted({a, b, *breakpoints})
-        edges = [e for e in edges if a <= e <= b]
-    lo = np.array(edges[:-1], dtype=float)
-    hi = np.array(edges[1:], dtype=float)
-    vals, errs, nevals = _panel_gk15(f, lo, hi)
-
-    heap = []
-    for i in range(len(lo)):
-        heappush(heap, (-errs[i], i, lo[i], hi[i], vals[i], errs[i]))
-    counter = len(lo)
-    total = complex(vals.sum())
-    total_err = float(errs.sum())
-
-    while total_err > tol * max(1.0, abs(total)):
-        if nevals >= max_evals:
+    value, error, info = quad(
+        lambda x: complex(f(np.array([x]))[0]), a, b,
+        epsabs=tol, epsrel=tol,
+        limit=max(1, max_evals // _QUADPACK_PANEL_POINTS),
+        points=breakpoints, complex_func=True, full_output=True,
+    )
+    error = float(error.real + error.imag)
+    nevals = sum(info[part][0]["neval"] for part in ("real", "imag"))
+    for part in ("real", "imag"):
+        # quad appends QUADPACK's message to the info dict on failure
+        if len(info[part]) > 1:
             raise QuadratureError(
-                f"adaptive integration exceeded {max_evals} evaluations "
-                f"(error estimate {total_err:.3e})",
-                value=total, error=total_err,
+                f"adaptive integration of the {part} part did not converge "
+                f"(error estimate {error:.3e}): {info[part][1]}",
+                value=value, error=error,
             )
-        _, _, pa, pb, pval, perr = heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            raise QuadratureError(
-                "adaptive integration stalled at floating-point panel "
-                f"resolution (error estimate {total_err:.3e})",
-                value=total, error=total_err,
-            )
-        svals, serrs, n = _panel_gk15(f, np.array([pa, pm]), np.array([pm, pb]))
-        nevals += n
-        total += svals.sum() - pval
-        total_err += serrs.sum() - perr
-        for j, (sa, sb) in enumerate(((pa, pm), (pm, pb))):
-            heappush(heap, (-serrs[j], counter, sa, sb, svals[j], serrs[j]))
-            counter += 1
-
-    return AdaptiveResult(total, total_err, nevals)
+    return AdaptiveResult(value, error, nevals)

@@ -189,7 +189,9 @@ def optimal_waist_numeric(
     :func:`compute_xi` per step.  ``objective`` may override the
     efficiency function (signature ``w -> value``, also used for the
     scan), which the tests use to maximize the small-cloud model with
-    the same machinery.
+    the same machinery.  The record's ``status`` is ``"edge"`` when the
+    scan's maximum is the bracket's first or last point, ``"ok"``
+    otherwise.
     """
     if profile not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {profile!r}")
@@ -207,6 +209,9 @@ def optimal_waist_numeric(
             return geometric_factors(cloud, ws, profile)
 
     w_best, g_best, scan = maximize_scalar(objective, lo, hi, tol=tol, f_batch=f_batch)
+    # a scan maximum on the bracket's first or last point may lie beyond
+    # the bracket: the refined value is reported but left unverified
+    k = int(np.argmax(scan[1]))
     return OptimumRecord(
         w0_max_bar=w_best,
         g_max=g_best,
@@ -214,6 +219,7 @@ def optimal_waist_numeric(
         profile=profile,
         cloud=cloud,
         method="numeric",
+        status="edge" if k in (0, scan[1].size - 1) else "ok",
         scan=scan if keep_scan else None,
     )
 

@@ -138,6 +138,21 @@ class TestMainExitCodes:
         # the default waist bracket leaves the supported [0.5, 1e4]
         ("optimize --sigma-perp-bar 200 --sigma-z-bar 10", "outside the supported"),
         ("optimize --sigma-perp-bar 0.005 --sigma-z-bar 10", "outside the supported"),
+        # physical inputs the domain classes or the unit conversion reject
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --rabi -1",
+         "amplitude must be non-negative"),
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 "
+         "--pulse gaussian --pulse-width 0", "width must be positive"),
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-end 0",
+         "strictly increasing"),
+        ("optimize --wavelength-nm 0 --sigma-perp-um 1 --sigma-z-um 10",
+         "wavelength_nm must be positive"),
+        ("sweep --grid-perp 1:inf:3 --grid-z 1:10:2", "B < inf"),
+        # non-finite float fields
+        ("xi --sigma-perp-bar nan --sigma-z-bar 100 --waist-bar 10", "must be finite"),
+        ("xi --sigma-perp-bar 5 --sigma-z-bar inf --waist-bar 10", "must be finite"),
+        ("xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar inf", "must be finite"),
+        ("validate --suite optimum --tol inf", "must be finite"),
     ]
 
     @pytest.mark.parametrize("argv, message", _USAGE_CASES,
@@ -170,6 +185,21 @@ class TestOutputs:
         assert float(record["g_factor"]) == pytest.approx(0.1875, abs=2e-4)
         assert record["status"] == "ok"
         assert any("config" in c for c in comments)
+
+    def test_bracket_edge_flagged_not_failed(self, capsys):
+        # the optimum (w0 = 0.2131, G = 52.45) lies below the bracket's
+        # clamped lower end 0.5; the value there is reported, flagged
+        argv = "optimize --sigma-perp-bar 0.1 --sigma-z-bar 0.01".split()
+        assert main(argv) == EXIT_OK
+        data = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("# ")]
+        header, row = csv.reader(data)
+        record = dict(zip(header, row))
+        assert record["status"] == "edge"
+        assert float(record["w0_max_bar"]) == pytest.approx(0.5, rel=1e-5)
+        assert float(record["g_factor"]) == pytest.approx(20.35, abs=0.01)
+        # a sweep of only that cell still succeeds, with no failed cell
+        assert main("sweep --grid-perp 0.1:0.1:1 --grid-z 0.01:0.01:1".split()) == EXIT_OK
+        assert '"failed_cells": 0' in capsys.readouterr().out
 
     def test_sweep_deterministic_bytes(self, tmp_path):
         args = [

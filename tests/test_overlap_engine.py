@@ -264,6 +264,52 @@ class TestBatchedKernel:
             geometric_factors(cloud, [3.0], "bespoke")
 
 
+# the fig2 preset box, log-uniform: sigma_perp in [1, 50], sigma_z in [1, 1000]
+preset_sp = st.floats(0.0, math.log(50.0)).map(math.exp)
+preset_sz = st.floats(0.0, math.log(1000.0)).map(math.exp)
+# position of the waist on the log scale of the cloud's default bracket
+bracket_frac = st.floats(0.0, 1.0)
+
+
+def bracket_waist(sp: float, frac: float) -> float:
+    lo, hi = default_bracket(CloudGeometry(sp, 1.0))
+    return lo * (hi / lo) ** frac
+
+
+class TestPresetBoxProperties:
+    @given(preset_sp, preset_sz, bracket_frac)
+    @settings(max_examples=40, deadline=None)
+    def test_overlap_normalized(self, sp, sz, frac):
+        cloud = CloudGeometry(sp, sz)
+        w0 = bracket_waist(sp, frac)
+        for variant in VARIANTS:
+            assert 0.0 <= compute_xi(cloud, w0, variant).xi_abs_sq <= 1.0
+
+    @given(preset_sp, bracket_frac, st.floats(-11.0, -2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_short_cloud_continuous_with_pancake(self, sp, frac, log_ratio):
+        # sz / zR from 1e-11 to 1e-2, across the switch to the pancake form
+        # at 1e-9: every variant approaches it as (sz / zR)^2
+        w0 = bracket_waist(sp, frac)
+        zeta = 0.5 * w0 * w0
+        ratio = 10.0 ** log_ratio
+        pancake = -1j * zeta / (zeta + sp * sp)
+        for variant in VARIANTS:
+            xi = compute_xi(CloudGeometry(sp, ratio * zeta), w0, variant).xi
+            assert abs(xi / pancake - 1.0) <= 2.0 * ratio**2 + 1e-13
+
+    @given(preset_sp, preset_sz, st.floats(-1.0, math.log10(30.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_gouy_forms_agree(self, sp, sz, log_ratio):
+        # sz / zR from 0.1 to 30: the long clouds defeat the Hermite rule of
+        # the curvature form and take its adaptive fallback
+        w0 = math.sqrt(2.0 * sz / 10.0 ** log_ratio)
+        cloud = CloudGeometry(sp, sz)
+        a = xi_gouy_compensated(cloud, w0)
+        b = xi_gouy_compensated_curvature_form(cloud, w0)
+        assert abs(a.xi - b.xi) <= 1e-9
+
+
 class TestAxialQuadratureRoutes:
     def test_hermite_and_adaptive_agree_on_overlap_integrands(self):
         # in the regime where the Hermite rule resolves the integrand

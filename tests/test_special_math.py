@@ -2,85 +2,17 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gausscollect.special_math import (
     QuadratureError,
-    erfcx,
     gauss_hermite,
     integrate_adaptive,
 )
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def erfcx_asymptotic(x: float) -> float:
-    """Divergent large-x series, truncated at its smallest term."""
-    total = 0.0
-    term = 1.0
-    n = 0
-    while True:
-        total += term
-        nxt = term * -(2 * n + 1) / (2.0 * x * x)
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        n += 1
-    return total / (x * SQRT_PI)
-
-
-class TestErfcx:
-    def test_zero(self):
-        assert erfcx(0.0) == 1.0
-
-    def test_one_against_high_precision(self):
-        # erfc(1) * e evaluated at 30 digits
-        assert_allclose(erfcx(1.0), 0.427583576155807004410750344491, rtol=1e-13)
-
-    def test_asymptotic_oracle(self):
-        for x in (10.0, 50.0, 100.0, 500.0):
-            assert_allclose(erfcx(x), erfcx_asymptotic(x), rtol=1e-8)
-
-    def test_tail_approaches_reciprocal(self):
-        # x * sqrt(pi) * erfcx(x) -> 1 with residual bounded by 1/(2x^2)
-        prev = math.inf
-        for x in (10.0, 50.0, 100.0):
-            resid = abs(x * SQRT_PI * erfcx(x) - 1.0)
-            assert resid < 1.1 / (2.0 * x * x)
-            assert resid < prev
-            prev = resid
-
-    def test_against_scipy_oracle(self):
-        xs = np.concatenate([np.linspace(0.0, 4.0, 101), np.geomspace(4.0, 1e6, 101)])
-        ours = np.array([erfcx(float(x)) for x in xs])
-        assert_allclose(ours, scipy.special.erfcx(xs), rtol=5e-14)
-
-    def test_strictly_decreasing(self):
-        xs = np.geomspace(1e-8, 1e4, 300)
-        vals = [erfcx(float(x)) for x in xs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_negative_branch(self):
-        assert_allclose(erfcx(-1.0), 2.0 * math.e - erfcx(1.0), rtol=1e-13)
-        assert_allclose(erfcx(-3.0), scipy.special.erfcx(-3.0), rtol=1e-12)
-
-    def test_negative_overflow_signalled(self):
-        with pytest.raises(OverflowError):
-            erfcx(-30.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            erfcx(math.nan)
-
-    @given(st.floats(min_value=0.0, max_value=26.0))
-    @settings(max_examples=80, deadline=None)
-    def test_reflection_identity(self, x):
-        lhs = erfcx(-x)
-        rhs = 2.0 * math.exp(x * x) - erfcx(x)
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-300)
 
 
 class TestGaussHermite:

@@ -103,6 +103,13 @@ class TestNumericOptimum:
         with pytest.raises(ValueError):
             optimal_waist_numeric(cloud, "bespoke")
 
+    @pytest.mark.parametrize("objective", [lambda w: 1.0 / w, lambda w: w],
+                             ids=["lower", "upper"])
+    def test_scan_maximum_on_bracket_end_flagged(self, objective):
+        rec = optimal_waist_numeric(CloudGeometry(2.0, 5.0), UNIFORM, objective=objective)
+        assert rec.status == "edge"
+        assert math.isfinite(rec.w0_max_bar) and math.isfinite(rec.g_max)
+
     def test_scan_table_on_request(self):
         rec = optimal_waist_numeric(CloudGeometry(2.0, 5.0), UNIFORM, keep_scan=True)
         xs, ys = rec.scan
