@@ -7,7 +7,7 @@ of one column share the same data) and writes one CSV per preset into
 width-matched value sqrt(2) sigma_perp) and ``g_times_n`` (collected
 photon number for N = 1000 atoms) per grid cell.
 
-Takes about 16 s on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
+Takes about 19 s on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
 scipy 1.17); pass --quick for a coarse 10x12 grid.
 """
 

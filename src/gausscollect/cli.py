@@ -98,16 +98,22 @@ class RunConfig:
     resolved: dict = field(default_factory=dict)
 
 
+# every flag, and config-file field, with its type or its tuple of choices
 _FLAG_FIELDS = {
     "sigma_perp_bar": float, "sigma_z_bar": float,
     "sigma_perp_um": float, "sigma_z_um": float, "wavelength_nm": float,
-    "waist_bar": float, "phase": str, "n_atoms": int,
-    "rabi": float, "pulse": str, "pulse_center": float, "pulse_width": float,
-    "t_end": float, "t_steps": int,
-    "grid_perp": str, "grid_z": str, "preset": str,
-    "out": str, "format": str, "tol": float, "seed": int,
-    "verbose": bool, "suite": str, "trials": int,
+    "waist_bar": float, "phase": tuple(sorted(PHASE_ALIASES)), "n_atoms": int,
+    "rabi": float, "pulse": ("constant", "gaussian"), "pulse_center": float,
+    "pulse_width": float, "t_end": float, "t_steps": int,
+    "grid_perp": str, "grid_z": str, "preset": tuple(sorted(PRESETS)),
+    "out": str, "format": ("csv", "json"), "tol": float, "seed": int,
+    "verbose": bool, "suite": ("overlap", "optimum", "dynamics", "all"), "trials": int,
     "samples": int, "n_theta": int, "theta_max": float, "n_phi": int,
+}
+
+_JSON_KINDS = {
+    float: "a finite JSON number", int: "a JSON integer", str: "a JSON string",
+    bool: "true or false",
 }
 
 
@@ -130,34 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file mirroring the flag names")
-        p.add_argument("--sigma-perp-bar", type=float)
-        p.add_argument("--sigma-z-bar", type=float)
-        p.add_argument("--sigma-perp-um", type=float)
-        p.add_argument("--sigma-z-um", type=float)
-        p.add_argument("--wavelength-nm", type=float)
-        p.add_argument("--waist-bar", type=float)
-        p.add_argument("--phase", choices=sorted(PHASE_ALIASES))
-        p.add_argument("--n-atoms", type=int)
-        p.add_argument("--rabi", type=float)
-        p.add_argument("--pulse", choices=["constant", "gaussian"])
-        p.add_argument("--pulse-center", type=float)
-        p.add_argument("--pulse-width", type=float)
-        p.add_argument("--t-end", type=float)
-        p.add_argument("--t-steps", type=int)
-        p.add_argument("--grid-perp", metavar="A:B:N")
-        p.add_argument("--grid-z", metavar="A:B:N")
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--verbose", action="store_const", const=True)
-        p.add_argument("--suite", choices=["overlap", "optimum", "dynamics", "all"])
-        p.add_argument("--trials", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--n-theta", type=int)
-        p.add_argument("--theta-max", type=float)
-        p.add_argument("--n-phi", type=int)
+        for name, kind in _FLAG_FIELDS.items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            else:
+                p.add_argument(flag, type=kind, metavar="A:B:N" if name.startswith("grid") else None)
     return parser
 
 
@@ -170,7 +156,25 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: expected A:B:N, got {spec!r}") from exc
     if not (0.0 < a <= b < math.inf) or n < 1:
         raise ConfigError(f"{name}: need 0 < A <= B < inf and N >= 1, got {spec!r}")
-    return np.geomspace(a, b, n) if n > 1 else np.array([a])
+    points = np.geomspace(a, b, n) if n > 1 else np.array([a])
+    if np.any(np.diff(points) <= 0.0):
+        raise ConfigError(f"{name}: the N points must be strictly increasing, got {spec!r}")
+    return points
+
+
+def _config_value(key: str, kind, value):
+    """A config-file value, held to the type or the choices of its flag."""
+    if isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is float:
+        # an integer beyond the float range would overflow in float()
+        ok = type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        expected = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _JSON_KINDS[kind]
+        raise ConfigError(f"config file: {key} must be {expected}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def parse_config(argv) -> RunConfig:
@@ -186,7 +190,7 @@ def parse_config(argv) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
             raise ConfigError(f"config file {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -194,7 +198,7 @@ def parse_config(argv) -> RunConfig:
             norm = key.replace("-", "_")
             if norm not in _FLAG_FIELDS:
                 raise ConfigError(f"config file: unknown field {key!r}")
-            values[norm] = _FLAG_FIELDS[norm](val)
+            values[norm] = _config_value(key, _FLAG_FIELDS[norm], val)
     for name in _FLAG_FIELDS:
         flag_val = getattr(args, name, None)
         if flag_val is not None:
@@ -278,6 +282,8 @@ def _validate_command_inputs(config: RunConfig):
         value = getattr(config, name)
         if value < 1:
             raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
+    if config.seed < 0:
+        raise ConfigError(f"{cmd}: seed must be >= 0, got {config.seed}")
     if cmd == "dynamics":
         _dynamics_drive(config)
     elif cmd == "optimize":

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .ensemble_model import CloudGeometry
 from .overlap_engine import OverlapResult, compute_xi
@@ -297,6 +296,10 @@ def single_atom_collected(w0_bar: float, trajectory: AmplitudeTrajectory) -> flo
     The prefactor is the resonant absorption cross-section over the
     focal-spot area in wavenumber-scaled units.
     """
+    # imported here: no CLI path calls this, and importing scipy.integrate
+    # at module level would slow every CLI start
+    from scipy.integrate import simpson
+
     if w0_bar <= 0.0:
         raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
     emitted = simpson(np.abs(trajectory.b_values) ** 2, x=trajectory.times)

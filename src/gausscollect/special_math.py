@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_hermite
 
 __all__ = [
@@ -107,6 +106,10 @@ def integrate_adaptive(
     ``max_evals / 21`` panels; :class:`QuadratureError` is raised when
     QUADPACK reports that either part did not converge.
     """
+    # imported here: only the oracle integrates adaptively, and importing
+    # scipy.integrate at module level would slow every CLI start
+    from scipy.integrate import quad
+
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if tol <= 0.0:

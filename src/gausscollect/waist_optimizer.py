@@ -4,11 +4,10 @@ For a zero-length cloud the optimal waist has a closed form (the
 stationarity condition of the small-cloud overlap is a cubic in the
 squared waist, solved by Cardano's formula with the principal complex
 cube root).  Everywhere else the per-atom collection efficiency is
-maximized numerically: a 64-point log-spaced coarse scan, evaluated
-for all its waists in one batched call, brackets the global maximum,
-then bounded Brent refinement (parabolic interpolation safeguarded by
-golden-section steps) localizes it.  Nothing here assumes the
-objective is unimodal over the full bracket.
+maximized numerically on one batched path: a 64-point log-spaced scan
+brackets the global maximum, then rounds of 17 uniformly spaced waists,
+each one batched call like the scan, narrow that bracket.  Nothing here
+assumes the objective is unimodal beyond the scan's winning bracket.
 
 Sweep cells are independent pure computations, evaluated in grid order;
 a cell that fails is recorded with a status tag instead of aborting the
@@ -18,13 +17,13 @@ sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ensemble_model import CloudGeometry, PHASE_VARIANTS
-from .overlap_engine import compute_xi, geometric_factors, xi_small_cloud
+# compute_xi is not called here, but perfbench/layers.py wraps this attribute
+from .overlap_engine import compute_xi, geometric_factors, xi_small_cloud  # noqa: F401
 
 __all__ = [
     "OptimizationError",
@@ -37,6 +36,10 @@ __all__ = [
     "check_bracket",
     "sweep",
 ]
+
+_SCAN_POINTS = 64  # waists of the global log-spaced scan
+_ROUND_POINTS = 17  # waists of each refinement round
+
 
 class OptimizationError(RuntimeError):
     """The maximizer could not make sense of the objective."""
@@ -53,7 +56,6 @@ class OptimumRecord:
     cloud: CloudGeometry
     method: str
     status: str = "ok"
-    scan: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _check_axes(sp: np.ndarray, sz: np.ndarray) -> None:
@@ -86,43 +88,50 @@ class SweepGrid:
         object.__setattr__(self, "sigma_z_values", sz)
 
 
-def maximize_scalar(
-    f, lo: float, hi: float, *, coarse: int = 64, tol: float = 1e-6, f_batch=None
-):
-    """Global-then-local maximization of ``f`` on ``[lo, hi]``.
+def _values(f, xs: np.ndarray) -> np.ndarray:
+    ys = np.asarray(f(xs), dtype=float)
+    if not np.isfinite(ys).all():
+        raise OptimizationError(f"non-finite objective on [{xs[0]:g}, {xs[-1]:g}]")
+    return ys
 
-    Log-spaced scan of ``coarse`` points to bracket the global maximum,
-    then bounded Brent refinement of the winning bracket to an abscissa
-    tolerance of ``tol`` relative to the bracket's lower end (the method
-    itself stops near ``sqrt(eps)`` relative, about 1.5e-8).
-    ``f_batch``, when given, evaluates ``f`` on the whole array of scan
-    abscissae in one call.  Returns ``(x, f(x), scan)`` where ``scan``
-    is the (abscissae, values) table of the coarse pass.  Raises
-    :class:`OptimizationError` for a flat or non-finite objective.
+
+def maximize_scalar(f, lo: float, hi: float, *, tol: float = 1e-6):
+    """Global-then-local maximization of the batched ``f`` on ``[lo, hi]``.
+
+    ``f`` maps a 1-d array of abscissae to the array of its values.  A
+    64-point log-spaced scan brackets the global maximum by the
+    neighbours ``[x_{k-1}, x_{k+1}]`` of its best point; rounds of 17
+    uniformly spaced points then narrow the bracket to the neighbours
+    of each round's best point, 8-fold per round, until its width is at
+    most ``tol`` relative to its lower end or a round no longer narrows
+    it (``tol`` below float resolution).  Returns ``(x, f(x), on_edge)``
+    for the best point seen; ``on_edge`` tells that the scan peaked on
+    its first or last point, so the maximum may lie beyond ``[lo, hi]``.
+    Raises :class:`OptimizationError` for a flat or non-finite objective.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    xs = np.geomspace(lo, hi, coarse)
-    if f_batch is None:
-        ys = np.array([f(x) for x in xs], dtype=float)
-    else:
-        ys = np.asarray(f_batch(xs), dtype=float)
-    if not np.all(np.isfinite(ys)):
-        raise OptimizationError("objective returned non-finite values on the scan")
+    xs = np.geomspace(lo, hi, _SCAN_POINTS)
+    ys = _values(f, xs)
     y_min, y_max = float(ys.min()), float(ys.max())
     if y_max <= 0.0 or (y_min > 0 and y_max / y_min < 1.0 + 1e-12):
         raise OptimizationError(
             f"objective is flat across [{lo:g}, {hi:g}] (max/min = {y_max}/{y_min})"
         )
     k = int(np.argmax(ys))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, coarse - 1)]
-    best = minimize_scalar(
-        lambda x: -f(x), bounds=(a, b), method="bounded", options={"xatol": tol * a}
-    )
-    if not best.success or not math.isfinite(best.fun):
-        raise OptimizationError(f"refinement on [{a:g}, {b:g}] failed: {best.message}")
-    return float(best.x), float(-best.fun), (xs, ys)
+    on_edge = k in (0, xs.size - 1)
+    x_best, y_best, width = xs[k], ys[k], math.inf
+    while True:
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
+        if not tol * a < b - a < width:
+            break
+        width = b - a
+        xs = np.linspace(a, b, _ROUND_POINTS)
+        ys = _values(f, xs)
+        k = int(np.argmax(ys))
+        if ys[k] > y_best:
+            x_best, y_best = xs[k], ys[k]
+    return float(x_best), float(y_best), on_edge
 
 
 def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
@@ -179,19 +188,17 @@ def optimal_waist_numeric(
     tol: float = 1e-6,
     *,
     objective=None,
-    keep_scan: bool = False,
 ) -> OptimumRecord:
     """Numerically maximize the collection efficiency over the waist.
 
     ``profile`` is a phase-variant tag; the compensated variants are
-    re-matched to each trial waist.  The coarse scan evaluates all its
-    waists in one :func:`geometric_factors` call, the refinement one
-    :func:`compute_xi` per step.  ``objective`` may override the
-    efficiency function (signature ``w -> value``, also used for the
-    scan), which the tests use to maximize the small-cloud model with
-    the same machinery.  The record's ``status`` is ``"edge"`` when the
-    scan's maximum is the bracket's first or last point, ``"ok"``
-    otherwise.
+    re-matched to each trial waist.  The scan and every refinement round
+    evaluate all their waists in one :func:`geometric_factors` call.
+    ``objective`` may replace that efficiency with another batched one
+    (array of waists -> array of values), which ``validate`` and the
+    tests use to maximize the small-cloud model with the same machinery.
+    The record's ``status`` is ``"edge"`` when the scan's maximum is the
+    bracket's first or last waist, ``"ok"`` otherwise.
     """
     if profile not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {profile!r}")
@@ -200,18 +207,11 @@ def optimal_waist_numeric(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    f_batch = None
     if objective is None:
-        def objective(w):
-            return compute_xi(cloud, w, profile).geometric_factor
-
-        def f_batch(ws):
+        def objective(ws):
             return geometric_factors(cloud, ws, profile)
 
-    w_best, g_best, scan = maximize_scalar(objective, lo, hi, tol=tol, f_batch=f_batch)
-    # a scan maximum on the bracket's first or last point may lie beyond
-    # the bracket: the refined value is reported but left unverified
-    k = int(np.argmax(scan[1]))
+    w_best, g_best, on_edge = maximize_scalar(objective, lo, hi, tol=tol)
     return OptimumRecord(
         w0_max_bar=w_best,
         g_max=g_best,
@@ -219,8 +219,7 @@ def optimal_waist_numeric(
         profile=profile,
         cloud=cloud,
         method="numeric",
-        status="edge" if k in (0, scan[1].size - 1) else "ok",
-        scan=scan if keep_scan else None,
+        status="edge" if on_edge else "ok",
     )
 
 

@@ -31,11 +31,14 @@ from gausscollect.overlap_engine import (
     xi_brute_force,
     xi_full_compensation,
     xi_gouy_compensated,
-    xi_small_cloud,
     xi_uniform,
 )
 from gausscollect.cli import main
-from gausscollect.validation import sample_overlap_triples, sample_small_cloud_points
+from gausscollect.validation import (
+    sample_overlap_triples,
+    sample_small_cloud_points,
+    small_cloud_factors,
+)
 from gausscollect.waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
 
 
@@ -102,7 +105,7 @@ def test_criterion_3_analytic_optimum():
         analytic = optimal_waist_analytic(cloud)
         numeric = optimal_waist_numeric(
             cloud, UNIFORM, tol=1e-10,
-            objective=lambda w, c=cloud: xi_small_cloud(c, w).geometric_factor,
+            objective=lambda ws, c=cloud: small_cloud_factors(c, ws),
         )
         worst = max(worst, abs(analytic.w0_max_bar - numeric.w0_max_bar) / analytic.w0_max_bar)
     elapsed = time.monotonic() - t0

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +30,19 @@ def read_csv(path):
     data = [ln for ln in raw.splitlines() if not ln.startswith("# ")]
     rows = list(csv.reader(data))
     return raw, comments, rows
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+    # both cost about a third of a second of every CLI start, and no
+    # production path needs them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, gausscollect.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParseConfig:
@@ -92,6 +109,41 @@ class TestParseConfig:
         assert cfg.grid_perp.tolist() == pytest.approx([1.0, math.sqrt(10.0), 10.0])
         assert cfg.grid_z.tolist() == [5.0]
 
+    def test_config_file_values_of_every_kind(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "sigma_perp_bar": 5, "sigma_z_bar": 100.0, "n_atoms": 7, "verbose": False,
+            "format": "json", "pulse": "gaussian", "preset": "fig2a1", "suite": "overlap",
+            "seed": 0, "phase": "gouy", "out": "x.json",
+        }))
+        cfg = parse_config(["optimize", "--config", str(cfg_file)])
+        assert cfg.sigma_perp_bar == 5.0 and isinstance(cfg.sigma_perp_bar, float)
+        assert (cfg.n_atoms, cfg.verbose, cfg.format, cfg.pulse) == (7, False, "json", "gaussian")
+        assert (cfg.preset, cfg.suite, cfg.seed, cfg.phase) == (
+            "fig2a1", "overlap", 0, GOUY_COMPENSATED)
+
+    # each value used to give a traceback, or to be silently misread
+    _BAD_CONFIG_VALUES = [
+        ({"sigma_perp_bar": "abc"}, "sigma_perp_bar must be a finite JSON number"),
+        ({"sigma_z_bar": 10**400}, "sigma_z_bar must be a finite JSON number"),
+        ({"phase": "bogus"}, "phase must be one of full, gouy, uniform"),
+        ({"preset": "fig9"}, "preset must be one of fig2a1"),
+        ({"suite": "bogus"}, "suite must be one of overlap"),
+        ({"format": "xml"}, "format must be one of csv, json"),
+        ({"pulse": "square"}, "pulse must be one of constant, gaussian"),
+        ({"verbose": "false"}, "verbose must be true or false"),
+        ({"n_atoms": 2.7}, "n_atoms must be a JSON integer"),
+    ]
+
+    @pytest.mark.parametrize("fields, message", _BAD_CONFIG_VALUES,
+                             ids=[json.dumps(f)[:40] for f, _ in _BAD_CONFIG_VALUES])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, fields, message):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(fields))
+        argv = "xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --config".split()
+        assert main(argv + [str(cfg_file)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
             parse_config("sweep --grid-perp nope --grid-z 1:2:2".split())
@@ -148,6 +200,9 @@ class TestMainExitCodes:
         ("optimize --wavelength-nm 0 --sigma-perp-um 1 --sigma-z-um 10",
          "wavelength_nm must be positive"),
         ("sweep --grid-perp 1:inf:3 --grid-z 1:10:2", "B < inf"),
+        ("sweep --grid-perp 2:2:3 --grid-z 1:10:2", "points must be strictly increasing"),
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --seed -1", "seed must be >= 0"),
+        ("validate --seed -3", "seed must be >= 0"),
         # non-finite float fields
         ("xi --sigma-perp-bar nan --sigma-z-bar 100 --waist-bar 10", "must be finite"),
         ("xi --sigma-perp-bar 5 --sigma-z-bar inf --waist-bar 10", "must be finite"),
@@ -185,6 +240,17 @@ class TestOutputs:
         assert float(record["g_factor"]) == pytest.approx(0.1875, abs=2e-4)
         assert record["status"] == "ok"
         assert any("config" in c for c in comments)
+
+    def test_tol_below_float_resolution_terminates(self, capsys):
+        assert main("optimize --sigma-perp-bar 5 --sigma-z-bar 100 --tol 1e-20".split()) == EXIT_OK
+        data = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("# ")]
+        header, row = csv.reader(data)
+        record = dict(zip(header, row))
+        assert record["status"] == "ok"
+        assert float(record["w0_max_bar"]) == pytest.approx(14.636061, rel=1e-6)
+        argv = "sweep --grid-perp 2:5:2 --grid-z 50:100:2 --phase gouy --tol 1e-30".split()
+        assert main(argv) == EXIT_OK
+        assert '"failed_cells": 0' in capsys.readouterr().out
 
     def test_bracket_edge_flagged_not_failed(self, capsys):
         # the optimum (w0 = 0.2131, G = 52.45) lies below the bracket's

@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 
+from gausscollect.cli import _PRESET_AXES
 from gausscollect.ensemble_model import (
     FULL_GAUSSIAN,
     GOUY_COMPENSATED,
     UNIFORM,
     CloudGeometry,
 )
-from gausscollect.overlap_engine import compute_xi, xi_small_cloud, xi_uniform
+from gausscollect.overlap_engine import (
+    compute_xi,
+    geometric_factors,
+    xi_small_cloud,
+    xi_uniform,
+)
+from gausscollect.validation import small_cloud_factors
 from gausscollect.waist_optimizer import (
     OptimizationError,
     default_bracket,
@@ -22,7 +30,31 @@ from gausscollect.waist_optimizer import (
 
 
 def small_cloud_objective(cloud):
-    return lambda w: xi_small_cloud(cloud, w).geometric_factor
+    return lambda ws: small_cloud_factors(cloud, ws)
+
+
+def test_small_cloud_factors_match_scalar_model():
+    ws = np.geomspace(0.5, 100.0, 50)
+    for sp, sz in [(3.0, 4.0), (1.0, 50.0), (0.7, 0.0), (20.0, 100.0)]:
+        cloud = CloudGeometry(sp, sz)
+        reference = [xi_small_cloud(cloud, w).geometric_factor for w in ws]
+        assert_allclose(small_cloud_factors(cloud, ws), reference, rtol=1e-14, atol=0.0)
+
+
+def brent_reference(cloud, profile, tol):
+    """The optimizer the batched refinement replaced: the same 64-point
+    scan, then scalar bounded Brent on the scan's winning bracket with
+    an abscissa tolerance of ``tol`` relative to the bracket's lower end."""
+    lo, hi = default_bracket(cloud)
+    ws = np.geomspace(lo, hi, 64)
+    k = int(np.argmax(geometric_factors(cloud, ws, profile)))
+    a, b = ws[max(k - 1, 0)], ws[min(k + 1, 63)]
+    best = minimize_scalar(
+        lambda w: -compute_xi(cloud, w, profile).geometric_factor,
+        bounds=(a, b), method="bounded", options={"xatol": tol * a},
+    )
+    assert best.success
+    return best.x, -best.fun, "edge" if k in (0, 63) else "ok"
 
 
 class TestAnalyticOptimum:
@@ -110,11 +142,23 @@ class TestNumericOptimum:
         assert rec.status == "edge"
         assert math.isfinite(rec.w0_max_bar) and math.isfinite(rec.g_max)
 
-    def test_scan_table_on_request(self):
-        rec = optimal_waist_numeric(CloudGeometry(2.0, 5.0), UNIFORM, keep_scan=True)
-        xs, ys = rec.scan
-        assert len(xs) == len(ys) == 64
-        assert optimal_waist_numeric(CloudGeometry(2.0, 5.0), UNIFORM).scan is None
+    @pytest.mark.parametrize("variant, stride", [
+        (UNIFORM, 1), (GOUY_COMPENSATED, 3), (FULL_GAUSSIAN, 3),
+    ])
+    def test_matches_scalar_brent_on_preset_axes(self, variant, stride):
+        tol = 1e-6
+        sp_axis, sz_axis = _PRESET_AXES
+        grid = sweep(sp_axis[::stride], sz_axis[::stride], variant, tol)
+        worst_w, worst_g, status_diffs = 0.0, 0.0, []
+        for rec in (rec for row in grid.records for rec in row):
+            w_ref, g_ref, status_ref = brent_reference(rec.cloud, variant, tol)
+            worst_w = max(worst_w, abs(rec.w0_max_bar - w_ref) / w_ref)
+            worst_g = max(worst_g, (g_ref - rec.g_max) / g_ref)
+            if rec.status != status_ref:
+                status_diffs.append((rec.cloud, rec.status, status_ref))
+        assert worst_w <= tol
+        assert worst_g <= 1e-12
+        assert not status_diffs
 
 
 class TestMaximizeScalar:
@@ -123,13 +167,29 @@ class TestMaximizeScalar:
         assert x == pytest.approx(3.0, rel=1e-6)
         assert fx == pytest.approx(7.0, abs=1e-10)
 
+    def test_tol_below_float_resolution_terminates(self):
+        x, fx, on_edge = maximize_scalar(
+            lambda x: -((x - 3.0) ** 2) + 7.0, 0.5, 20.0, tol=1e-300
+        )
+        assert x == pytest.approx(3.0, rel=1e-7)
+        assert fx == pytest.approx(7.0, abs=1e-14)
+        assert not on_edge
+
     def test_flat_objective_raises(self):
         with pytest.raises(OptimizationError):
-            maximize_scalar(lambda x: 1.0, 1.0, 10.0)
+            maximize_scalar(lambda x: np.ones_like(x), 1.0, 10.0)
 
     def test_non_finite_raises(self):
         with pytest.raises(OptimizationError):
-            maximize_scalar(lambda x: math.nan, 1.0, 10.0)
+            maximize_scalar(lambda x: np.full_like(x, math.nan), 1.0, 10.0)
+
+    def test_non_finite_in_refinement_raises(self):
+        # finite on every scan point, non-finite inside the refined bracket
+        with pytest.raises(OptimizationError, match="non-finite"):
+            maximize_scalar(
+                lambda x: np.where(abs(x - 3.0) < 1e-3, math.nan, 7.0 - (x - 3.0) ** 2),
+                1.0, 10.0,
+            )
 
 
 class TestSweep:
