@@ -23,7 +23,8 @@ def run(sp: float, sz: float, n_atoms: int, rabi: float, out_dir: pathlib.Path) 
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud = CloudGeometry(sp, sz, n_atoms)
     pulse = PulseShape.constant(rabi)
-    # long enough for complete transfer at the chosen drive
+    # five pump e-foldings: B(t_end) = 1 - e^-5, so n(t_end) is about 99.3%
+    # of G*N, not the fully transferred value
     t_end = 5.0 / (4.0 * rabi * rabi)
     t = np.linspace(0.0, t_end, 2001)
     for variant in PHASE_VARIANTS:
@@ -35,7 +36,7 @@ def run(sp: float, sz: float, n_atoms: int, rabi: float, out_dir: pathlib.Path) 
         np.savetxt(target, data, delimiter=",", header=header, comments="")
         print(
             f"{variant:16s}: w0_max = {best.w0_max_bar:8.3f}, "
-            f"G*N = {best.g_max * n_atoms:7.3f}, n(inf) = {curve.n[-1]:7.3f} -> {target}"
+            f"G*N = {best.g_max * n_atoms:7.3f}, n(t_end) = {curve.n[-1]:7.3f} -> {target}"
         )
     return 0
 

@@ -1,6 +1,6 @@
 """Photon collection from trapped atomic ensembles into Gaussian modes."""
 
-from .paraxial_beam import BeamGeometry, ParaxialValidityWarning, Point3
+from .paraxial_beam import BeamGeometry, ParaxialValidityWarning
 from .ensemble_model import (
     FULL_GAUSSIAN,
     GOUY_COMPENSATED,
@@ -15,11 +15,8 @@ from .overlap_engine import (
     compute_xi,
     geometric_factor,
     geometric_factors,
+    small_cloud_factors,
     xi_brute_force,
-    xi_full_compensation,
-    xi_gouy_compensated,
-    xi_small_cloud,
-    xi_uniform,
 )
 from .special_math import QuadratureError, QuadratureRule, gauss_hermite, integrate_adaptive
 
@@ -28,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BeamGeometry",
-    "Point3",
     "ParaxialValidityWarning",
     "CloudGeometry",
     "PhaseProfile",
@@ -41,10 +37,7 @@ __all__ = [
     "compute_xi",
     "geometric_factor",
     "geometric_factors",
-    "xi_small_cloud",
-    "xi_uniform",
-    "xi_gouy_compensated",
-    "xi_full_compensation",
+    "small_cloud_factors",
     "xi_brute_force",
     "QuadratureError",
     "QuadratureRule",

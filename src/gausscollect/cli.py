@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -156,6 +155,8 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: expected A:B:N, got {spec!r}") from exc
     if not (0.0 < a <= b < math.inf) or n < 1:
         raise ConfigError(f"{name}: need 0 < A <= B < inf and N >= 1, got {spec!r}")
+    if n == 1 and a != b:
+        raise ConfigError(f"{name}: a single point (N = 1) needs A == B, got {spec!r}")
     points = np.geomspace(a, b, n) if n > 1 else np.array([a])
     if np.any(np.diff(points) <= 0.0):
         raise ConfigError(f"{name}: the N points must be strictly increasing, got {spec!r}")
@@ -343,13 +344,20 @@ def _write_csv(stream, header, rows, metadata):
         writer.writerow([_fmt(v) for v in row])
 
 
+def _json_value(value):
+    # JSON has no NaN or infinity: a failed cell's numbers become null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(stream, header, rows, metadata):
     payload = {
         "metadata": {"tool": "gausscollect", "version": __version__, **{"config": metadata}},
         "columns": list(header),
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
     }
-    json.dump(payload, stream, indent=2, sort_keys=True)
+    json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 
@@ -360,9 +368,13 @@ def _emit(config: RunConfig, header, rows, extra_meta=None):
     writer = _write_csv if config.format == "csv" else _write_json
     if config.out is None:
         writer(sys.stdout, header, rows, metadata)
-    else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            writer(fh, header, rows, metadata)
+        return
+    try:
+        fh = open(config.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out {config.out}: {exc.strerror or exc}") from exc
+    with fh:
+        writer(fh, header, rows, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +505,9 @@ def run(config: RunConfig) -> int:
     except (QuadratureError, OptimizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ConfigError as exc:  # an output file that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paraxial_beam import BeamGeometry, Point3
+from .paraxial_beam import BeamGeometry
 
 __all__ = [
     "UNIFORM",
@@ -31,7 +31,6 @@ __all__ = [
     "make_profile",
     "density",
     "sample_positions",
-    "phase_at",
     "phase_at_points",
 ]
 
@@ -106,8 +105,8 @@ def make_profile(variant: str, w0_bar: float | None = None) -> PhaseProfile:
     return PhaseProfile(variant, BeamGeometry(w0_bar))
 
 
-def density(cloud: CloudGeometry, p: Point3) -> float:
-    """Atom number density at a point, in wavenumber^3 units.
+def density(cloud: CloudGeometry, xyz) -> np.ndarray:
+    """Atom number density at an ``(n, 3)`` position array, in wavenumber^3 units.
 
     Normalized so the volume integral equals ``n_atoms``.  The pancake
     limit ``sigma_z_bar = 0`` has no finite density and is rejected.
@@ -115,11 +114,10 @@ def density(cloud: CloudGeometry, p: Point3) -> float:
     sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
     if sz == 0.0:
         raise ValueError("density is undefined for sigma_z_bar = 0 (pancake limit)")
-    rho_sq = p.x_bar * p.x_bar + p.y_bar * p.y_bar
+    x, y, z = np.asarray(xyz, dtype=float).T
+    rho_sq = x * x + y * y
     norm = (2.0 * math.pi) ** 1.5 * sp * sp * sz
-    return cloud.n_atoms * math.exp(
-        -rho_sq / (2.0 * sp * sp) - p.z_bar * p.z_bar / (2.0 * sz * sz)
-    ) / norm
+    return cloud.n_atoms * np.exp(-rho_sq / (2.0 * sp * sp) - z * z / (2.0 * sz * sz)) / norm
 
 
 def sample_positions(cloud: CloudGeometry, count: int, seed: int) -> np.ndarray:
@@ -137,24 +135,8 @@ def sample_positions(cloud: CloudGeometry, count: int, seed: int) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(int(count), 3)) * scales
 
 
-def phase_at(profile: PhaseProfile, p: Point3) -> float:
-    """Imprinted spin-wave phase at a point."""
-    if profile.variant == UNIFORM:
-        return 0.0
-    beam = profile.reference_beam
-    zr = beam.rayleigh_bar
-    z = p.z_bar
-    gouy = math.atan2(z, zr)
-    if profile.variant == GOUY_COMPENSATED:
-        return -gouy
-    # full Gaussian: transverse curvature term, written so z = 0 (flat
-    # phase front, infinite curvature radius) needs no special case
-    rho_sq = p.x_bar * p.x_bar + p.y_bar * p.y_bar
-    return rho_sq * z / (2.0 * (z * z + zr * zr)) - gouy
-
-
 def phase_at_points(profile: PhaseProfile, xyz: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`phase_at` over an ``(n, 3)`` position array."""
+    """Imprinted spin-wave phase at every row of an ``(n, 3)`` position array."""
     xyz = np.asarray(xyz, dtype=float)
     if profile.variant == UNIFORM:
         return np.zeros(xyz.shape[0])
@@ -164,5 +146,7 @@ def phase_at_points(profile: PhaseProfile, xyz: np.ndarray) -> np.ndarray:
     gouy = np.arctan(z / zr)
     if profile.variant == GOUY_COMPENSATED:
         return -gouy
+    # full Gaussian: transverse curvature term, written so z = 0 (flat
+    # phase front, infinite curvature radius) needs no special case
     rho_sq = xyz[:, 0] ** 2 + xyz[:, 1] ** 2
     return rho_sq * z / (2.0 * (z * z + zr * zr)) - gouy

@@ -29,8 +29,9 @@ Evaluation routes:
   scipy), which the tests cross-check against the production form.
 
 :func:`geometric_factors` evaluates a whole array of waists in one numpy
-pass on one shared axial mesh; :func:`compute_xi` and the per-variant
-functions are its one-waist case.  All functions are pure.
+pass on one shared axial mesh; :func:`compute_xi` is its one-waist case.
+:func:`small_cloud_factors` is the flat-front small-cloud model behind
+the closed-form optimal waist.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ __all__ = [
     "OverlapResult",
     "geometric_factor",
     "geometric_factors",
-    "xi_small_cloud",
-    "xi_uniform",
-    "xi_gouy_compensated",
+    "small_cloud_factors",
     "xi_gouy_compensated_curvature_form",
-    "xi_full_compensation",
     "xi_brute_force",
     "compute_xi",
 ]
@@ -249,69 +247,30 @@ def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResu
     form (``method="closed_form"``), the uniform phase the exact erfcx
     closed form, the compensated phases the fixed axial rule
     (``method="quadrature"``).
+
+    After the Gaussian transverse integral the uniform phase leaves a
+    simple pole at ``i (zR + sp^2)`` under the axial Gaussian weight,
+    hence erfcx.  A stored phase cancelling the Gouy phase's sign flip
+    across the focus makes the two half-spaces add for long clouds.
     """
     xi, quad = _xi_kernel(cloud, np.array([w0_bar], dtype=float), variant)
     return OverlapResult.from_xi(xi[0], w0_bar, "quadrature" if quad[0] else "closed_form")
 
 
-def xi_small_cloud(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
-    """Overlap for a cloud much smaller than the Rayleigh length.
+def small_cloud_factors(cloud: CloudGeometry, w0_bars) -> np.ndarray:
+    """Geometric factor of a cloud much smaller than the Rayleigh length.
 
     Near the focus the mode reduces to a flat-front Gaussian with a
     linearized axial phase, so the overlap is a pure Gaussian integral:
     ``|xi|^2 = w0^4 / (2 sp^2 + w0^2)^2 * exp[-(2 sz / w0^2)^2]``.
-    Evaluated as written for any parameters; accuracy degrades once the
-    cloud is no longer small against the Rayleigh length.
+    Evaluated as written at every waist of ``w0_bars``; accuracy
+    degrades once the cloud is no longer small against the Rayleigh
+    length.
     """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
     sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    w0_sq = w0_bar * w0_bar
-    amp = w0_sq / (w0_sq + 2.0 * sp * sp)
-    axial = math.exp(-2.0 * sz * sz / (w0_sq * w0_sq))
-    return OverlapResult.from_xi(-1j * amp * axial, w0_bar, "closed_form")
-
-
-def xi_uniform(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
-    """Exact overlap for the uniform stored phase, via erfcx.
-
-    The axial integral has a simple pole at ``i (zR + sp^2)`` and a
-    Gaussian weight; the result is ``-i sqrt(pi/8) (w0^2 / sz) *
-    erfcx((w0^2/2 + sp^2) / (sqrt(2) sz))``, finite for every parameter
-    magnitude because the scaled function never overflows.
-    """
-    if cloud.sigma_z_bar == 0.0:
-        raise ValueError(
-            "xi_uniform needs sigma_z_bar > 0; use xi_small_cloud for the pancake limit"
-        )
-    return compute_xi(cloud, w0_bar, UNIFORM)
-
-
-def xi_gouy_compensated(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
-    """Overlap for the stored phase cancelling the beam's Gouy phase.
-
-    After the (Gaussian) transverse integral, the axial integrand keeps
-    the residual Gouy rotation against the pole at ``i (zR + sp^2)``:
-    ``xi = zR / (sqrt(2 pi) sz) * integral g exp(-i arctan(z/zR)) /
-    (z + i (zR + sp^2)) dz``.  Cancelling the sign flip of the Gouy
-    phase across the focus is what makes the two half-spaces add
-    constructively for long clouds.
-    """
-    if cloud.sigma_z_bar == 0.0:
-        raise ValueError("xi_gouy_compensated needs sigma_z_bar > 0")
-    return compute_xi(cloud, w0_bar, GOUY_COMPENSATED)
-
-
-def xi_full_compensation(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
-    """Overlap for the stored phase of a full focused-Gaussian mode.
-
-    The imprinted curvature and Gouy terms cancel the mode's transverse
-    phase exactly, leaving a real, positive axial integrand
-    ``w(z) / (w(z)^2 + 2 sp^2)`` under the cloud's Gaussian weight.  At
-    ``sigma_z_bar = 0`` this reduces to the analytic pancake overlap
-    ``|xi|^2 = w0^4 / (w0^2 + 2 sp^2)^2``.
-    """
-    return compute_xi(cloud, w0_bar, FULL_GAUSSIAN)
+    w0_sq = np.square(np.asarray(w0_bars, dtype=float))
+    xi_abs = w0_sq / (w0_sq + 2.0 * sp * sp) * np.exp(-2.0 * sz * sz / (w0_sq * w0_sq))
+    return 6.0 * xi_abs * xi_abs / w0_sq
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +311,7 @@ def _hermite_axial_integral(smooth, sigma_z: float, core_scale: float, tol: floa
 def xi_gouy_compensated_curvature_form(
     cloud: CloudGeometry, w0_bar: float, tol: float = 1e-10
 ) -> OverlapResult:
-    """Independent algebraic form of :func:`xi_gouy_compensated`.
+    """Independent algebraic form of the Gouy-compensated :func:`compute_xi`.
 
     Uses the beam-width/curvature factorization of the mode instead of
     the complex beam parameter, and its own quadrature; the two must

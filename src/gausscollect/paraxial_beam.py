@@ -17,9 +17,7 @@ import numpy as np
 __all__ = [
     "ParaxialValidityWarning",
     "BeamGeometry",
-    "Point3",
     "beam_width",
-    "radius_of_curvature",
     "gouy_phase",
     "mode_amplitude",
     "mode_amplitude_expanded",
@@ -55,34 +53,10 @@ class BeamGeometry:
         return 0.5 * self.w0_bar * self.w0_bar
 
 
-@dataclass(frozen=True)
-class Point3:
-    """Cartesian point in wavenumber-scaled coordinates."""
-
-    x_bar: float
-    y_bar: float
-    z_bar: float
-
-    def __post_init__(self):
-        for name in ("x_bar", "y_bar", "z_bar"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-
-
 def beam_width(beam: BeamGeometry, z_bar):
     """Transverse 1/e^2 field radius w(z) = w0 sqrt(1 + (z/zR)^2)."""
     zr = beam.rayleigh_bar
     return beam.w0_bar * np.sqrt(1.0 + (z_bar / zr) ** 2)
-
-
-def radius_of_curvature(beam: BeamGeometry, z_bar: float) -> float:
-    """Phase-front curvature radius R(z) = z + zR^2/z; +inf at the focus."""
-    if z_bar == 0.0:
-        return math.inf
-    zr = beam.rayleigh_bar
-    return z_bar + zr * zr / z_bar
 
 
 def gouy_phase(beam: BeamGeometry, z_bar):
@@ -90,31 +64,31 @@ def gouy_phase(beam: BeamGeometry, z_bar):
     return np.arctan(z_bar / beam.rayleigh_bar)
 
 
-def mode_amplitude(beam: BeamGeometry, p: Point3) -> complex:
-    """Dimensionless fundamental-mode profile at a point.
+def mode_amplitude(beam: BeamGeometry, xyz) -> np.ndarray:
+    """Dimensionless fundamental-mode profile at an ``(n, 3)`` position array.
 
     Canonical complex-beam-parameter form
     ``(zR / q*(z)) exp[i (z + rho^2 / (2 q*(z)))]`` with
     ``q(z) = z + i zR``; it has no removable singularity at the focus and
     its modulus is bounded by 1.
     """
+    x, y, z = np.asarray(xyz, dtype=float).T
     zr = beam.rayleigh_bar
-    q_conj = p.z_bar - 1j * zr
-    rho_sq = p.x_bar * p.x_bar + p.y_bar * p.y_bar
-    return (zr / q_conj) * np.exp(1j * (p.z_bar + rho_sq / (2.0 * q_conj)))
+    q_conj = z - 1j * zr
+    rho_sq = x * x + y * y
+    return (zr / q_conj) * np.exp(1j * (z + rho_sq / (2.0 * q_conj)))
 
 
-def mode_amplitude_expanded(beam: BeamGeometry, p: Point3) -> complex:
-    """Same mode via the textbook w(z), R(z), Gouy-phase factorization.
+def mode_amplitude_expanded(beam: BeamGeometry, xyz) -> np.ndarray:
+    """Same mode via the textbook w(z), curvature, Gouy-phase factorization.
 
-    Exists as an independent evaluation path for testing the compact
-    form and for the imprinted-phase profiles, which reuse its curvature
-    and Gouy terms.  The curvature term is written as
-    ``rho^2 z / (2 (z^2 + zR^2))`` so the focus needs no special case.
+    An independent evaluation path for testing the compact form.  The
+    curvature term is written as ``rho^2 z / (2 (z^2 + zR^2))`` so the
+    focus needs no special case.
     """
+    x, y, z = np.asarray(xyz, dtype=float).T
     zr = beam.rayleigh_bar
-    z = p.z_bar
-    rho_sq = p.x_bar * p.x_bar + p.y_bar * p.y_bar
+    rho_sq = x * x + y * y
     w = beam_width(beam, z)
     inv_2r = z / (2.0 * (z * z + zr * zr))
     phase = z + rho_sq * inv_2r - gouy_phase(beam, z)

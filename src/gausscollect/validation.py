@@ -8,32 +8,19 @@ and the exact amplitude equations against the adiabatic envelope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .emission_dynamics import PulseShape, adiabatic_beta, integrate_amplitudes
-from .ensemble_model import (
-    FULL_GAUSSIAN,
-    GOUY_COMPENSATED,
-    UNIFORM,
-    CloudGeometry,
-    make_profile,
-)
-from .overlap_engine import (
-    xi_brute_force,
-    xi_full_compensation,
-    xi_gouy_compensated,
-    xi_uniform,
-)
+from .ensemble_model import PHASE_VARIANTS, UNIFORM, CloudGeometry, make_profile
+from .overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
 from .waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
 
 __all__ = [
     "ValidationReport",
     "sample_overlap_triples",
     "sample_small_cloud_points",
-    "small_cloud_factors",
     "validate_overlap",
     "validate_optimum",
     "validate_dynamics",
@@ -78,18 +65,6 @@ def sample_small_cloud_points(n: int, seed: int = 20240818) -> np.ndarray:
     ])
 
 
-def small_cloud_factors(cloud: CloudGeometry, w0_bars: np.ndarray) -> np.ndarray:
-    """Small-cloud geometric factor at every waist of ``w0_bars``.
-
-    The batched form of ``xi_small_cloud(cloud, w).geometric_factor``,
-    which the optimum suite maximizes.
-    """
-    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    w0_sq = w0_bars * w0_bars
-    xi_abs = w0_sq / (w0_sq + 2.0 * sp * sp) * np.exp(-2.0 * sz * sz / (w0_sq * w0_sq))
-    return 6.0 * xi_abs * xi_abs / w0_sq
-
-
 def _discriminant(sp: float, sz: float) -> float:
     return sp ** 8 + 22.0 * sp ** 4 * sz ** 2 - 4.0 * sz ** 4
 
@@ -97,20 +72,15 @@ def _discriminant(sp: float, sz: float) -> float:
 def validate_overlap(trials: int = 10, tol: float = 1e-6, seed: int = 20240817) -> ValidationReport:
     """Closed forms and 1-d quadratures vs the brute-force overlap oracle."""
     report = ValidationReport("overlap")
-    evaluators = (
-        (UNIFORM, xi_uniform),
-        (GOUY_COMPENSATED, xi_gouy_compensated),
-        (FULL_GAUSSIAN, xi_full_compensation),
-    )
-    worst = {name: 0.0 for name, _ in evaluators}
+    worst = dict.fromkeys(PHASE_VARIANTS, 0.0)
     for sp, sz, w0 in sample_overlap_triples(trials, seed):
         cloud = CloudGeometry(sp, sz)
-        for name, evaluate in evaluators:
-            fast = evaluate(cloud, w0)
+        for name in PHASE_VARIANTS:
+            fast = compute_xi(cloud, w0, name)
             oracle = xi_brute_force(cloud, w0, make_profile(name, w0))
             rel = abs(fast.xi_abs_sq - oracle.xi_abs_sq) / oracle.xi_abs_sq
             worst[name] = max(worst[name], rel)
-    for name, _ in evaluators:
+    for name in PHASE_VARIANTS:
         report.check(
             f"{name} |xi|^2 vs brute force on {trials} triples",
             worst[name] <= tol,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensemble_model import CloudGeometry, PHASE_VARIANTS
 # compute_xi is not called here, but perfbench/layers.py wraps this attribute
-from .overlap_engine import compute_xi, geometric_factors, xi_small_cloud  # noqa: F401
+from .overlap_engine import compute_xi, geometric_factors, small_cloud_factors  # noqa: F401
 
 __all__ = [
     "OptimizationError",
@@ -170,11 +170,11 @@ def optimal_waist_analytic(cloud: CloudGeometry) -> OptimumRecord:
     if w_sq <= 0.0:
         raise OptimizationError(f"optimal-waist formula returned w^2 = {w_sq!r}")
     w = math.sqrt(w_sq)
-    res = xi_small_cloud(cloud, w)
+    g = float(small_cloud_factors(cloud, w))
     return OptimumRecord(
         w0_max_bar=w,
-        g_max=res.geometric_factor,
-        xi_abs_sq_at_max=res.xi_abs_sq,
+        g_max=g,
+        xi_abs_sq_at_max=g * w_sq / 6.0,
         profile="uniform",
         cloud=cloud,
         method="analytic",

@@ -27,18 +27,9 @@ from gausscollect.ensemble_model import (
     make_profile,
 )
 from gausscollect.far_field import direction_grid, structure_factor
-from gausscollect.overlap_engine import (
-    xi_brute_force,
-    xi_full_compensation,
-    xi_gouy_compensated,
-    xi_uniform,
-)
+from gausscollect.overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
 from gausscollect.cli import main
-from gausscollect.validation import (
-    sample_overlap_triples,
-    sample_small_cloud_points,
-    small_cloud_factors,
-)
+from gausscollect.validation import sample_overlap_triples, sample_small_cloud_points
 from gausscollect.waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
 
 
@@ -73,15 +64,10 @@ def test_criterion_2_closed_form_oracle_equivalence():
     t0 = time.monotonic()
     triples = sample_overlap_triples(50)
     worst = {UNIFORM: 0.0, GOUY_COMPENSATED: 0.0, FULL_GAUSSIAN: 0.0}
-    evaluators = {
-        UNIFORM: xi_uniform,
-        GOUY_COMPENSATED: xi_gouy_compensated,
-        FULL_GAUSSIAN: xi_full_compensation,
-    }
     for sp, sz, w0 in triples:
         cloud = CloudGeometry(sp, sz)
-        for variant, evaluate in evaluators.items():
-            fast = evaluate(cloud, w0)
+        for variant in worst:
+            fast = compute_xi(cloud, w0, variant)
             oracle = xi_brute_force(cloud, w0, make_profile(variant, w0))
             rel = abs(fast.xi_abs_sq - oracle.xi_abs_sq) / oracle.xi_abs_sq
             worst[variant] = max(worst[variant], rel)
@@ -148,8 +134,8 @@ def test_criterion_4_efficiency_thresholds():
                 continue
             compared += 1
             cloud = CloudGeometry(sp, sz)
-            gouy = xi_gouy_compensated(cloud, w_star).xi_abs_sq
-            uni = xi_uniform(cloud, w_star).xi_abs_sq
+            gouy = compute_xi(cloud, w_star, GOUY_COMPENSATED).xi_abs_sq
+            uni = compute_xi(cloud, w_star, UNIFORM).xi_abs_sq
             if not gouy >= uni:
                 failures.append(f"(sp={sp}, sz={sz}) w={w_star:.2f}: gouy {gouy:.4f} < uniform {uni:.4f}")
     if compared == 0:

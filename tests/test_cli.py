@@ -201,6 +201,7 @@ class TestMainExitCodes:
          "wavelength_nm must be positive"),
         ("sweep --grid-perp 1:inf:3 --grid-z 1:10:2", "B < inf"),
         ("sweep --grid-perp 2:2:3 --grid-z 1:10:2", "points must be strictly increasing"),
+        ("sweep --grid-perp 1:50:1 --grid-z 1:10:1", "(N = 1) needs A == B"),
         ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --seed -1", "seed must be >= 0"),
         ("validate --seed -3", "seed must be >= 0"),
         # non-finite float fields
@@ -321,6 +322,33 @@ class TestOutputs:
 
         expect = compute_xi(CloudGeometry(5.0, 100.0), 10.0, UNIFORM)
         assert row["xi_abs_sq"] == expect.xi_abs_sq
+
+    def test_json_failed_cells_are_null(self, tmp_path):
+        # sigma_perp = 200 puts the waist bracket outside [0.5, 1e4]
+        out = tmp_path / "sweep.json"
+        argv = "sweep --grid-perp 100:200:2 --grid-z 1:10:2 --format json --out".split()
+        assert main(argv + [str(out)]) == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        failed = [row for row in payload["rows"] if row["status"].startswith("failed")]
+        assert len(failed) == 2 == payload["metadata"]["config"]["failed_cells"]
+        for row in failed:
+            for name in ("w0_max_bar", "w0_ratio", "xi_abs_sq", "g_factor", "g_times_n"):
+                assert row[name] is None
+        ok = [row for row in payload["rows"] if row["status"] == "ok"]
+        assert ok and all(isinstance(row["g_factor"], float) for row in ok)
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        argv = "xi --sigma-perp-bar 3 --sigma-z-bar 10 --waist-bar 5 --out".split()
+        assert main(argv + [str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out")
+        assert main(argv + [str(tmp_path)]) == EXIT_USAGE  # a directory
+        assert not out.parent.exists()
 
     def test_dynamics_metadata_flags_saturation(self, tmp_path):
         out = tmp_path / "dyn.json"

@@ -103,6 +103,61 @@ class TestAdiabaticBeta:
         assert curve.big_b[-1] <= 1.0 + 1e-9
 
 
+def simpson_big_b_reference(pulse, t):
+    """``B`` by refining composite Simpson, the quadrature the closed form
+    replaced: ``m`` subintervals per grid interval, doubled from 2 to 64
+    until the whole curve changes by at most 1e-8 of its end value."""
+
+    def beta_sq(x):
+        b = 2.0 * pulse.rabi(x) * np.exp(-2.0 * pulse.pump_integral(x))
+        return b * b
+
+    prev = None
+    for m in (2, 4, 8, 16, 32, 64):
+        frac = np.linspace(0.0, 1.0, m + 1)
+        sub = t[:-1, None] + np.diff(t)[:, None] * frac[None, :]
+        vals = beta_sq(sub.ravel()).reshape(sub.shape)
+        h = np.diff(t) / m
+        weights = np.ones(m + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        per_interval = (vals * weights[None, :]).sum(axis=1) * h / 3.0
+        big_b = np.concatenate(([0.0], np.cumsum(per_interval)))
+        if prev is not None:
+            scale = max(abs(big_b[-1]), 1e-30)
+            if np.max(np.abs(big_b - prev)) <= 1e-8 * scale:
+                break
+        prev = big_b
+    return big_b
+
+
+@given(
+    st.booleans(),
+    st.floats(min_value=0.01, max_value=0.15),
+    st.floats(min_value=0.0, max_value=150.0),
+    st.floats(min_value=5.0, max_value=40.0),
+    st.floats(min_value=0.0, max_value=30.0),
+    st.integers(min_value=100, max_value=2000),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_big_b_matches_simpson(gaussian, amp, center, width, t0, n):
+    # grids of at least 100 steps across the pumping time (20 / Omega^2
+    # for a constant drive, up to 8 widths past a Gaussian pulse's
+    # center), where the Simpson reference is itself accurate; grids may
+    # start after t = 0, as B accumulates from the grid's first time
+    if gaussian:
+        pulse = PulseShape.gaussian(amp, center, width)
+        t = np.linspace(t0, center + 8.0 * width, n + 1)
+    else:
+        pulse = PulseShape.constant(amp)
+        t = np.linspace(t0, t0 + 20.0 / amp**2, n + 1)
+    big_b = adiabatic_beta(pulse, t).big_b
+    assert big_b[0] == 0.0
+    assert np.max(np.abs(big_b - simpson_big_b_reference(pulse, t))) <= 1e-9
+    assert np.all(np.diff(big_b) >= 0.0)
+    assert big_b[-1] <= 1.0
+
+
 class TestAmplitudeEquations:
     def test_pure_decay(self):
         traj = integrate_amplitudes(PulseShape.constant(0.0), 0.0, 20.0, 0.01, c0=0.0, b0=1.0)

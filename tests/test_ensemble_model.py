@@ -14,11 +14,15 @@ from gausscollect.ensemble_model import (
     PhaseProfile,
     density,
     make_profile,
-    phase_at,
     phase_at_points,
     sample_positions,
 )
-from gausscollect.paraxial_beam import BeamGeometry, Point3
+from gausscollect.paraxial_beam import BeamGeometry
+
+
+def at(*point):
+    """One position as the ``(1, 3)`` array the position functions take."""
+    return np.array([point], dtype=float)
 
 
 class TestCloudGeometry:
@@ -38,14 +42,14 @@ class TestDensity:
     def test_peak_value(self):
         cloud = CloudGeometry(5.0, 100.0, n_atoms=1000)
         expect = 1000.0 / ((2.0 * math.pi) ** 1.5 * 25.0 * 100.0)
-        assert density(cloud, Point3(0, 0, 0)) == pytest.approx(expect, rel=1e-14)
+        assert density(cloud, at(0, 0, 0))[0] == pytest.approx(expect, rel=1e-14)
         assert expect == pytest.approx(0.02539745437, rel=1e-9)
 
     def test_transverse_falloff(self):
         cloud = CloudGeometry(3.0, 10.0)
-        peak = density(cloud, Point3(0, 0, 0))
         rho = math.sqrt(2.0) * 3.0  # rho^2 = 2 sigma_perp^2
-        assert density(cloud, Point3(rho, 0.0, 0.0)) == pytest.approx(peak / math.e, rel=1e-13)
+        peak, edge = density(cloud, np.array([[0.0, 0.0, 0.0], [rho, 0.0, 0.0]]))
+        assert edge == pytest.approx(peak / math.e, rel=1e-13)
 
     def test_normalization_by_quadrature(self):
         from scipy.integrate import simpson
@@ -54,21 +58,23 @@ class TestDensity:
         r = np.linspace(0.0, 16.0, 1201)  # 8 sigma_perp
         z = np.linspace(-56.0, 56.0, 1601)
         rr, zz = np.meshgrid(r, z, indexing="ij")
-        body = np.array([
-            density(cloud, Point3(float(ri), 0.0, 0.0)) for ri in r
-        ])[:, None] * np.exp(-zz**2 / 98.0)
+        body = density(cloud, np.column_stack([r, 0.0 * r, 0.0 * r]))[:, None] * np.exp(
+            -zz**2 / 98.0
+        )
         integral = simpson(simpson(2.0 * math.pi * rr * body, x=z, axis=1), x=r)
         assert integral == pytest.approx(cloud.n_atoms, rel=1e-6)
 
     def test_symmetries(self):
         cloud = CloudGeometry(2.5, 30.0)
-        a = density(cloud, Point3(1.0, 2.0, 5.0))
-        assert density(cloud, Point3(-2.0, 1.0, 5.0)) == pytest.approx(a, rel=1e-13)
-        assert density(cloud, Point3(1.0, 2.0, -5.0)) == pytest.approx(a, rel=1e-13)
+        a, rotated, mirrored = density(
+            cloud, np.array([[1.0, 2.0, 5.0], [-2.0, 1.0, 5.0], [1.0, 2.0, -5.0]])
+        )
+        assert rotated == pytest.approx(a, rel=1e-13)
+        assert mirrored == pytest.approx(a, rel=1e-13)
 
     def test_rejects_pancake(self):
         with pytest.raises(ValueError):
-            density(CloudGeometry(1.0, 0.0), Point3(0, 0, 0))
+            density(CloudGeometry(1.0, 0.0), at(0, 0, 0))
 
 
 class TestSampler:
@@ -116,22 +122,22 @@ class TestPhaseProfiles:
 
     def test_uniform_is_zero(self):
         prof = PhaseProfile.uniform()
-        assert phase_at(prof, Point3(1.0, -2.0, 3.0)) == 0.0
+        assert phase_at_points(prof, at(1.0, -2.0, 3.0))[0] == 0.0
 
     def test_gouy_value(self):
         beam = BeamGeometry(10.0)
         prof = PhaseProfile.gouy_compensated(beam)
-        assert phase_at(prof, Point3(0, 0, beam.rayleigh_bar)) == pytest.approx(-math.pi / 4)
+        assert phase_at_points(prof, at(0, 0, beam.rayleigh_bar))[0] == pytest.approx(-math.pi / 4)
 
     def test_full_gaussian_value(self):
         beam = BeamGeometry(10.0)  # zR = 50, R(zR) = 100
         prof = PhaseProfile.full_gaussian(beam)
         expect = 4.0 / 200.0 - math.pi / 4.0
-        assert phase_at(prof, Point3(2.0, 0.0, 50.0)) == pytest.approx(expect, rel=1e-13)
+        assert phase_at_points(prof, at(2.0, 0.0, 50.0))[0] == pytest.approx(expect, rel=1e-13)
 
     def test_full_gaussian_focus_is_gouy_free(self):
         prof = PhaseProfile.full_gaussian(BeamGeometry(6.0))
-        assert phase_at(prof, Point3(3.0, 1.0, 0.0)) == 0.0
+        assert phase_at_points(prof, at(3.0, 1.0, 0.0))[0] == 0.0
 
     @given(
         st.floats(min_value=-20.0, max_value=20.0),
@@ -141,22 +147,9 @@ class TestPhaseProfiles:
     @settings(max_examples=100, deadline=None)
     def test_symmetries(self, x, y, z):
         beam = BeamGeometry(8.0)
-        gouy = PhaseProfile.gouy_compensated(beam)
-        assert phase_at(gouy, Point3(x, y, z)) == pytest.approx(
-            -phase_at(gouy, Point3(x, y, -z)), abs=1e-12
-        )
-        full = PhaseProfile.full_gaussian(beam)
+        pair = np.array([[x, y, z], [x, y, -z]])
+        gouy = phase_at_points(PhaseProfile.gouy_compensated(beam), pair)
+        assert gouy[0] == pytest.approx(-gouy[1], abs=1e-12)
         # curvature part even in z, Gouy part odd
-        curv = 0.5 * (
-            phase_at(full, Point3(x, y, z)) + phase_at(full, Point3(x, y, -z))
-        )
-        assert curv == pytest.approx(0.0, abs=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        beam = BeamGeometry(7.0)
-        pts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-4.0, 1.0, -90.0]])
-        for variant in (UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN):
-            prof = make_profile(variant, 7.0)
-            vec = phase_at_points(prof, pts)
-            scal = [phase_at(prof, Point3(*row)) for row in pts]
-            assert_allclose(vec, scal, atol=1e-14)
+        full = phase_at_points(PhaseProfile.full_gaussian(beam), pair)
+        assert 0.5 * (full[0] + full[1]) == pytest.approx(0.0, abs=1e-12)

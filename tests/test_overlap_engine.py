@@ -19,12 +19,9 @@ from gausscollect.overlap_engine import (
     compute_xi,
     geometric_factor,
     geometric_factors,
+    small_cloud_factors,
     xi_brute_force,
-    xi_full_compensation,
-    xi_gouy_compensated,
     xi_gouy_compensated_curvature_form,
-    xi_small_cloud,
-    xi_uniform,
 )
 from gausscollect.validation import sample_overlap_triples
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
@@ -34,45 +31,43 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def small_cloud_xi_abs_sq(cloud, w0):
+    """|xi|^2 of the small-cloud model, from its geometric factor."""
+    return float(small_cloud_factors(cloud, w0)) * w0 * w0 / 6.0
+
+
 class TestSmallCloud:
     def test_matched_waist_quarter(self):
         cloud = CloudGeometry(3.0, 0.0)
-        res = xi_small_cloud(cloud, math.sqrt(2.0) * 3.0)
-        assert res.xi_abs_sq == pytest.approx(0.25, rel=1e-14)
+        assert small_cloud_xi_abs_sq(cloud, math.sqrt(2.0) * 3.0) == pytest.approx(0.25, rel=1e-14)
 
     def test_point_emitter(self):
-        res = xi_small_cloud(CloudGeometry(1e-9, 0.0), 5.0)
-        assert res.xi_abs_sq == pytest.approx(1.0, rel=1e-12)
+        assert small_cloud_xi_abs_sq(CloudGeometry(1e-9, 0.0), 5.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_direct_evaluation(self):
-        res = xi_small_cloud(CloudGeometry(3.0, 20.0), 6.0)
         expect = (1296.0 / 54.0**2) * math.exp(-((40.0 / 36.0) ** 2))
-        assert res.xi_abs_sq == pytest.approx(expect, rel=1e-13)
+        assert small_cloud_xi_abs_sq(CloudGeometry(3.0, 20.0), 6.0) == pytest.approx(
+            expect, rel=1e-13
+        )
         assert expect == pytest.approx(0.1293157595, rel=1e-9)
 
     def test_small_cloud_error_budget_outside_regime(self):
         # sigma_z ~ zR here, so the flat-phase model is only good to a factor
         cloud = CloudGeometry(3.0, 20.0)
-        approx = xi_small_cloud(cloud, 6.0)
         oracle = xi_brute_force(cloud, 6.0, PhaseProfile.uniform())
-        ratio = oracle.xi_abs_sq / approx.xi_abs_sq
+        ratio = oracle.xi_abs_sq / small_cloud_xi_abs_sq(cloud, 6.0)
         assert 0.5 < ratio < 2.0
-
-    def test_phase_convention(self):
-        res = xi_small_cloud(CloudGeometry(2.0, 1.0), 4.0)
-        assert res.xi.real == pytest.approx(0.0, abs=1e-15)
-        assert res.xi.imag < 0.0
 
 
 class TestUniform:
     def test_wide_beam_asymptote(self):
-        res = xi_uniform(CloudGeometry(3.0, 50.0), 1000.0)
+        res = compute_xi(CloudGeometry(3.0, 50.0), 1000.0, UNIFORM)
         assert res.xi_abs_sq == pytest.approx(1.0, abs=1e-3)
         assert abs(res.xi - (-1j)) < 0.01
 
     def test_against_brute_force(self):
         cloud = CloudGeometry(5.0, 100.0)
-        fast = xi_uniform(cloud, 10.0)
+        fast = compute_xi(cloud, 10.0, UNIFORM)
         oracle = xi_brute_force(cloud, 10.0, PhaseProfile.uniform())
         assert rel(fast.xi_abs_sq, oracle.xi_abs_sq) < 1e-6
         assert abs(fast.xi - oracle.xi) < 1e-8
@@ -82,15 +77,11 @@ class TestUniform:
         w0 = 6.0
         cloud = CloudGeometry(3.0, 0.01 * 0.5 * w0 * w0)
         assert rel(
-            xi_uniform(cloud, w0).xi_abs_sq, xi_small_cloud(cloud, w0).xi_abs_sq
+            compute_xi(cloud, w0, UNIFORM).xi_abs_sq, small_cloud_xi_abs_sq(cloud, w0)
         ) < 1e-4
 
-    def test_rejects_pancake(self):
-        with pytest.raises(ValueError):
-            xi_uniform(CloudGeometry(1.0, 0.0), 3.0)
-
     def test_extreme_elongation_no_overflow(self):
-        res = xi_uniform(CloudGeometry(1.0, 1e-3), 60.0)
+        res = compute_xi(CloudGeometry(1.0, 1e-3), 60.0, UNIFORM)
         assert 0.0 < res.xi_abs_sq <= 1.0
 
 
@@ -99,7 +90,7 @@ class TestGouyCompensated:
         w0 = 8.0
         zeta = 0.5 * w0 * w0
         cloud = CloudGeometry(2.0, 1e-3 * zeta)
-        res = xi_gouy_compensated(cloud, w0)
+        res = compute_xi(cloud, w0, GOUY_COMPENSATED)
         flat = w0**4 / (w0**2 + 2.0 * 4.0) ** 2
         assert res.xi_abs_sq == pytest.approx(flat, rel=1e-4)
 
@@ -111,31 +102,31 @@ class TestGouyCompensated:
 
     def test_dual_forms_agree(self):
         cloud = CloudGeometry(5.0, 100.0)
-        a = xi_gouy_compensated(cloud, 12.0)
+        a = compute_xi(cloud, 12.0, GOUY_COMPENSATED)
         b = xi_gouy_compensated_curvature_form(cloud, 12.0)
         assert abs(a.xi - b.xi) < 1e-9
 
     def test_against_brute_force(self):
         cloud = CloudGeometry(5.0, 100.0)
-        fast = xi_gouy_compensated(cloud, 10.0)
+        fast = compute_xi(cloud, 10.0, GOUY_COMPENSATED)
         oracle = xi_brute_force(cloud, 10.0, make_profile(GOUY_COMPENSATED, 10.0))
         assert rel(fast.xi_abs_sq, oracle.xi_abs_sq) < 1e-6
 
 
 class TestFullCompensation:
     def test_pancake_matched_waist(self):
-        res = xi_full_compensation(CloudGeometry(3.0, 0.0), math.sqrt(2.0) * 3.0)
+        res = compute_xi(CloudGeometry(3.0, 0.0), math.sqrt(2.0) * 3.0, FULL_GAUSSIAN)
         assert res.xi_abs_sq == pytest.approx(0.25, rel=1e-14)
         assert res.method == "closed_form"
 
     def test_pancake_any_waist(self):
         sp, w0 = 4.0, 11.0
-        res = xi_full_compensation(CloudGeometry(sp, 0.0), w0)
+        res = compute_xi(CloudGeometry(sp, 0.0), w0, FULL_GAUSSIAN)
         assert res.xi_abs_sq == pytest.approx(w0**4 / (w0**2 + 2 * sp**2) ** 2, rel=1e-14)
 
     def test_against_brute_force(self):
         cloud = CloudGeometry(5.0, 100.0)
-        fast = xi_full_compensation(cloud, 10.0)
+        fast = compute_xi(cloud, 10.0, FULL_GAUSSIAN)
         oracle = xi_brute_force(cloud, 10.0, make_profile(FULL_GAUSSIAN, 10.0))
         assert rel(fast.xi_abs_sq, oracle.xi_abs_sq) < 1e-6
 
@@ -145,7 +136,7 @@ class TestBruteForce:
         # the uniform-phase closed form is exact, so this pins the oracle
         cloud = CloudGeometry(8.0, 40.0)
         oracle = xi_brute_force(cloud, 14.0, PhaseProfile.uniform())
-        exact = xi_uniform(cloud, 14.0)
+        exact = compute_xi(cloud, 14.0, UNIFORM)
         assert abs(oracle.xi - exact.xi) < 1e-11
 
     def test_full_profile_pancake_limit(self):
@@ -203,7 +194,7 @@ class TestInvariantsAndDispatch:
             assert 0.0 <= res.xi_abs_sq <= 1.0 + 1e-12
 
     def test_result_consistency_fields(self):
-        res = xi_uniform(CloudGeometry(4.0, 30.0), 7.0)
+        res = compute_xi(CloudGeometry(4.0, 30.0), 7.0, UNIFORM)
         assert res.xi_abs_sq == pytest.approx(abs(res.xi) ** 2, abs=1e-15)
         assert res.geometric_factor == pytest.approx(6.0 * res.xi_abs_sq / 49.0, rel=1e-13)
 
@@ -305,7 +296,7 @@ class TestPresetBoxProperties:
         # the curvature form and take its adaptive fallback
         w0 = math.sqrt(2.0 * sz / 10.0 ** log_ratio)
         cloud = CloudGeometry(sp, sz)
-        a = xi_gouy_compensated(cloud, w0)
+        a = compute_xi(cloud, w0, GOUY_COMPENSATED)
         b = xi_gouy_compensated_curvature_form(cloud, w0)
         assert abs(a.xi - b.xi) <= 1e-9
 

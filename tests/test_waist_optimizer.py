@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from gausscollect.cli import _PRESET_AXES
@@ -12,13 +11,7 @@ from gausscollect.ensemble_model import (
     UNIFORM,
     CloudGeometry,
 )
-from gausscollect.overlap_engine import (
-    compute_xi,
-    geometric_factors,
-    xi_small_cloud,
-    xi_uniform,
-)
-from gausscollect.validation import small_cloud_factors
+from gausscollect.overlap_engine import compute_xi, geometric_factors, small_cloud_factors
 from gausscollect.waist_optimizer import (
     OptimizationError,
     default_bracket,
@@ -31,14 +24,6 @@ from gausscollect.waist_optimizer import (
 
 def small_cloud_objective(cloud):
     return lambda ws: small_cloud_factors(cloud, ws)
-
-
-def test_small_cloud_factors_match_scalar_model():
-    ws = np.geomspace(0.5, 100.0, 50)
-    for sp, sz in [(3.0, 4.0), (1.0, 50.0), (0.7, 0.0), (20.0, 100.0)]:
-        cloud = CloudGeometry(sp, sz)
-        reference = [xi_small_cloud(cloud, w).geometric_factor for w in ws]
-        assert_allclose(small_cloud_factors(cloud, ws), reference, rtol=1e-14, atol=0.0)
 
 
 def brent_reference(cloud, profile, tol):
@@ -111,7 +96,7 @@ class TestNumericOptimum:
         rec = optimal_waist_numeric(cloud, UNIFORM)
         lo, hi = default_bracket(cloud)
         ws = np.geomspace(lo, hi, 10_000)
-        gs = np.array([xi_uniform(cloud, w).geometric_factor for w in ws])
+        gs = np.array([compute_xi(cloud, w, UNIFORM).geometric_factor for w in ws])
         k = int(np.argmax(gs))
         step = ws[k + 1] - ws[k]
         assert abs(rec.w0_max_bar - ws[k]) <= step
