@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -285,6 +286,8 @@ def _validate_command_inputs(config: RunConfig):
             raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
     if config.seed < 0:
         raise ConfigError(f"{cmd}: seed must be >= 0, got {config.seed}")
+    if config.out is not None:
+        _check_out_path(config.out)
     if cmd == "dynamics":
         _dynamics_drive(config)
     elif cmd == "optimize":
@@ -295,6 +298,20 @@ def _validate_command_inputs(config: RunConfig):
             raise ConfigError(
                 f"optimize: sigma_perp_bar {config.sigma_perp_bar} puts the waist search {exc}"
             ) from exc
+
+
+def _check_out_path(path: str):
+    """Reject an ``--out`` that cannot be a file, before anything runs.
+
+    Only looks: the file is neither created nor truncated here, and the
+    cases this cannot see (permissions, say) still fail when the output
+    is opened.
+    """
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path}: Is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: No such directory {parent}")
 
 
 def _dynamics_drive(config: RunConfig):

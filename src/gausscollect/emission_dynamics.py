@@ -103,25 +103,30 @@ class PulseShape:
         """``integral_0^t |Omega|^2 dt'``, vectorized.
 
         Closed forms for the constant and Gaussian variants; cumulative
-        trapezoid on a dense grid for sampled pulses.
+        trapezoid on a dense grid for sampled pulses, taken from its value
+        at ``t = 0`` (a sampled pulse may start before 0).
         """
         t = np.asarray(t, dtype=float)
         if self.variant == "constant":
             return self.amplitude ** 2 * t
         if self.variant == "gaussian_pulse":
-            from scipy.special import erf
-            # |Omega|^2 is Gaussian with std width/sqrt(2)
+            from scipy.special import erfc
+            # |Omega|^2 is Gaussian with std width/sqrt(2); the integral
+            # pref * (erf(u) + erf(c / tau)) is written with erfc so that
+            # its two terms do not cancel before the pulse arrives
             amp2 = self.amplitude ** 2
             tau = self.width
             pref = amp2 * tau * math.sqrt(math.pi) / 2.0
-            return pref * (erf((t - self.center) / tau) + erf(self.center / tau))
+            u = (t - self.center) / tau
+            return pref * (erfc(-u) - erfc(self.center / tau))
         times, values = self.samples
         dense = np.linspace(times[0], times[-1], 8 * times.size)
         v2 = np.interp(dense, times, values) ** 2
         cumulative = np.concatenate(
             ([0.0], np.cumsum(0.5 * (v2[1:] + v2[:-1]) * np.diff(dense)))
         )
-        return np.interp(t, dense, cumulative, left=0.0, right=cumulative[-1])
+        pump = np.interp(t, dense, cumulative, left=0.0, right=cumulative[-1])
+        return pump - np.interp(0.0, dense, cumulative, left=0.0, right=cumulative[-1])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ Evaluation routes:
   scipy), which the tests cross-check against the production form.
 
 :func:`geometric_factors` evaluates a whole array of waists in one numpy
-pass on one shared axial mesh; :func:`compute_xi` is its one-waist case.
+pass on one shared axial mesh; :func:`compute_xi` is its one-waist case
+and :func:`uniform_factors` the uniform closed form for many clouds at
+once.
 :func:`small_cloud_factors` is the flat-front small-cloud model behind
 the closed-form optimal waist.  All functions are pure.
 """
@@ -57,6 +59,7 @@ __all__ = [
     "OverlapResult",
     "geometric_factor",
     "geometric_factors",
+    "uniform_factors",
     "small_cloud_factors",
     "xi_gouy_compensated_curvature_form",
     "xi_brute_force",
@@ -176,6 +179,22 @@ def _axial_rule(sigma_z: float, zeta_min: float):
     return z, w * density
 
 
+def _uniform_xi(zeta, sp_sq, sz):
+    """Uniform-phase ``xi`` elementwise over broadcast arrays of Rayleigh
+    lengths ``zeta``, squared cloud widths ``sp_sq`` and cloud lengths
+    ``sz > 0``.
+
+    The axial integral has a simple pole at ``i (zR + sp^2)`` under a
+    Gaussian weight: ``xi = pancake * sqrt(pi) x erfcx(x)`` with
+    ``x = (zR + sp^2) / (sqrt(2) sz)``, capped so that tiny ``sz`` cannot
+    overflow it.
+    """
+    pole = zeta + sp_sq
+    scale = math.sqrt(2.0) * sz
+    x = np.minimum(pole, _UNIFORM_PANCAKE_ARG * scale) / scale
+    return -1j * zeta / pole * (_SQRT_PI * x * erfcx(x))
+
+
 def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
     """``xi`` at every waist of the 1-d array ``w0``, and the mask of the
     waists evaluated by the axial rule (the others are closed forms).
@@ -199,13 +218,7 @@ def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
     if sz == 0.0:
         return xi, quad
     if variant == UNIFORM:
-        # the axial integral has a simple pole at i (zR + sp^2) under a
-        # Gaussian weight: xi = pancake * sqrt(pi) x erfcx(x) with
-        # x = (zR + sp^2) / (sqrt(2) sz), capped so that tiny sz cannot
-        # overflow it
-        scale = math.sqrt(2.0) * sz
-        x = np.minimum(pole, _UNIFORM_PANCAKE_ARG * scale) / scale
-        return xi * (_SQRT_PI * x * erfcx(x)), quad
+        return _uniform_xi(zeta, sp_sq, sz), quad
 
     quad = ~_degenerate_length(sz, zeta)
     if quad.any():
@@ -225,6 +238,12 @@ def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
     return xi, quad
 
 
+def _factors(xi, w0):
+    xi_abs_sq = np.abs(xi) ** 2
+    _check_normalized(float(xi_abs_sq.max()))
+    return 6.0 * xi_abs_sq / (w0 * w0)
+
+
 def geometric_factors(cloud: CloudGeometry, w0_bars, variant: str) -> np.ndarray:
     """Per-atom collection efficiency at every waist of the 1-d ``w0_bars``.
 
@@ -234,9 +253,20 @@ def geometric_factors(cloud: CloudGeometry, w0_bars, variant: str) -> np.ndarray
     """
     w0 = np.asarray(w0_bars, dtype=float)
     xi, _ = _xi_kernel(cloud, w0, variant)
-    xi_abs_sq = np.abs(xi) ** 2
-    _check_normalized(float(xi_abs_sq.max()))
-    return 6.0 * xi_abs_sq / (w0 * w0)
+    return _factors(xi, w0)
+
+
+def uniform_factors(sigma_perp_sq, sigma_z, w0_bars) -> np.ndarray:
+    """Uniform-phase geometric factor of many clouds in one numpy pass.
+
+    Elementwise over broadcast arrays of squared cloud widths (each
+    ``sigma_perp_bar ** 2`` in float arithmetic, as :func:`compute_xi`
+    squares it), cloud lengths ``sigma_z > 0`` and waists: the erfcx
+    closed form of ``geometric_factors(cloud, w, UNIFORM)``, value for
+    value.  The normalization guard applies to the whole array.
+    """
+    w0 = np.asarray(w0_bars, dtype=float)
+    return _factors(_uniform_xi(0.5 * w0 * w0, sigma_perp_sq, sigma_z), w0)
 
 
 def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResult:

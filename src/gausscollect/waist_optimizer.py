@@ -4,14 +4,18 @@ For a zero-length cloud the optimal waist has a closed form (the
 stationarity condition of the small-cloud overlap is a cubic in the
 squared waist, solved by Cardano's formula with the principal complex
 cube root).  Everywhere else the per-atom collection efficiency is
-maximized numerically on one batched path: a 64-point log-spaced scan
-brackets the global maximum, then rounds of 17 uniformly spaced waists,
-each one batched call like the scan, narrow that bracket.  Nothing here
-assumes the objective is unimodal beyond the scan's winning bracket.
+maximized numerically on one batched path, :func:`maximize_rows`,
+over a matrix of cells x waists: a 64-point log-spaced scan brackets
+each cell's global maximum, then rounds of 17 uniformly spaced waists
+narrow that bracket, every round one objective call for all cells still
+active.  Nothing here assumes the objective is unimodal beyond the
+scan's winning bracket.
 
-Sweep cells are independent pure computations, evaluated in grid order;
-a cell that fails is recorded with a status tag instead of aborting the
-sweep.
+A sweep optimizes its cells one sigma_perp row at a time, all cells of
+the row together (one row keeps the working arrays small; a whole grid
+at once would hold every cell's waists and values).  A single optimum
+is the one-cell case.  A cell that fails is recorded with a status tag
+while the other cells of its row carry on.
 """
 
 from __future__ import annotations
@@ -21,17 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble_model import CloudGeometry, PHASE_VARIANTS
+from .ensemble_model import PHASE_VARIANTS, UNIFORM, CloudGeometry
 # compute_xi is not called here, but perfbench/layers.py wraps this attribute
-from .overlap_engine import compute_xi, geometric_factors, small_cloud_factors  # noqa: F401
+from .overlap_engine import (  # noqa: F401
+    compute_xi,
+    geometric_factors,
+    small_cloud_factors,
+    uniform_factors,
+)
 
 __all__ = [
     "OptimizationError",
     "OptimumRecord",
     "SweepGrid",
-    "maximize_scalar",
+    "maximize_rows",
     "optimal_waist_analytic",
     "optimal_waist_numeric",
+    "optimal_waists",
     "default_bracket",
     "check_bracket",
     "sweep",
@@ -39,6 +49,7 @@ __all__ = [
 
 _SCAN_POINTS = 64  # waists of the global log-spaced scan
 _ROUND_POINTS = 17  # waists of each refinement round
+_ROUND_STEPS = np.arange(_ROUND_POINTS, dtype=float)
 
 
 class OptimizationError(RuntimeError):
@@ -88,50 +99,100 @@ class SweepGrid:
         object.__setattr__(self, "sigma_z_values", sz)
 
 
-def _values(f, xs: np.ndarray) -> np.ndarray:
-    ys = np.asarray(f(xs), dtype=float)
-    if not np.isfinite(ys).all():
-        raise OptimizationError(f"non-finite objective on [{xs[0]:g}, {xs[-1]:g}]")
-    return ys
+def _evaluate(f, W, cells, errors):
+    """Values of ``f`` on the waists ``W`` of ``cells``, as ``(cells, W, Y)``
+    cut down to the cells still standing.
 
-
-def maximize_scalar(f, lo: float, hi: float, *, tol: float = 1e-6):
-    """Global-then-local maximization of the batched ``f`` on ``[lo, hi]``.
-
-    ``f`` maps a 1-d array of abscissae to the array of its values.  A
-    64-point log-spaced scan brackets the global maximum by the
-    neighbours ``[x_{k-1}, x_{k+1}]`` of its best point; rounds of 17
-    uniformly spaced points then narrow the bracket to the neighbours
-    of each round's best point, 8-fold per round, until its width is at
-    most ``tol`` relative to its lower end or a round no longer narrows
-    it (``tol`` below float resolution).  Returns ``(x, f(x), on_edge)``
-    for the best point seen; ``on_edge`` tells that the scan peaked on
-    its first or last point, so the maximum may lie beyond ``[lo, hi]``.
-    Raises :class:`OptimizationError` for a flat or non-finite objective.
+    A call that raises is repeated cell by cell, so that only the cells
+    at fault fail; a cell that raises or has a non-finite value gets its
+    exception entered in ``errors``.
     """
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    xs = np.geomspace(lo, hi, _SCAN_POINTS)
-    ys = _values(f, xs)
-    y_min, y_max = float(ys.min()), float(ys.max())
-    if y_max <= 0.0 or (y_min > 0 and y_max / y_min < 1.0 + 1e-12):
-        raise OptimizationError(
-            f"objective is flat across [{lo:g}, {hi:g}] (max/min = {y_max}/{y_min})"
+    try:
+        Y = np.asarray(f(W, cells), dtype=float)
+    except (OptimizationError, ValueError):
+        Y = np.full(W.shape, math.nan)
+        for r, cell in enumerate(cells):
+            try:
+                Y[r] = f(W[r:r + 1], cells[r:r + 1])[0]
+            except (OptimizationError, ValueError) as exc:
+                errors[cell] = exc
+    good = np.isfinite(Y).all(axis=1)
+    if good.all():
+        return cells, W, Y
+    for r in np.flatnonzero(~good):
+        if errors[cells[r]] is None:
+            errors[cells[r]] = OptimizationError(
+                f"non-finite objective on [{W[r, 0]:g}, {W[r, -1]:g}]"
+            )
+    return cells[good], W[good], Y[good]
+
+
+def maximize_rows(f, lo, hi, *, tol: float = 1e-6):
+    """Global-then-local maximization of many functions at once.
+
+    Row ``i`` is maximized on ``[lo[i], hi[i]]``.  ``f(W, cells)`` maps
+    the ``(m, k)`` abscissae ``W`` of the rows ``cells`` (an index array)
+    to their ``(m, k)`` values; every step below is one such call for
+    all rows still active.  A 64-point log-spaced scan brackets each
+    row's global maximum by the neighbours ``[x_{k-1}, x_{k+1}]`` of its
+    best point; rounds of 17 uniformly spaced points then narrow the
+    bracket to the neighbours of each round's best point, 8-fold per
+    round, until its width is at most ``tol`` relative to its lower end
+    or a round no longer narrows it (``tol`` below float resolution).
+
+    Returns ``(x, fx, on_edge, errors)``: per row the best point seen,
+    its value, whether the scan peaked on its first or last point (so
+    the maximum may lie beyond the bracket), and ``None`` or the
+    exception that stopped the row: :class:`OptimizationError` for a
+    flat or non-finite objective, or whatever ``OptimizationError`` or
+    ``ValueError`` ``f`` raised for that row alone.  A failed row never
+    stops the others; its ``x`` and ``fx`` are NaN.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not ((0.0 < lo) & (lo < hi)).all():
+        raise ValueError(f"need 0 < lo < hi in every row, got {lo} and {hi}")
+    n = lo.size
+    x_best, y_best = np.full(n, math.nan), np.full(n, math.nan)
+    on_edge = np.zeros(n, dtype=bool)
+    errors = [None] * n
+
+    cells, W, Y = _evaluate(f, np.geomspace(lo, hi, _SCAN_POINTS, axis=1), np.arange(n), errors)
+    y_min, y_max = Y.min(axis=1), Y.max(axis=1)
+    ratio = y_max / np.where(y_min > 0.0, y_min, 1.0)
+    flat = (y_max <= 0.0) | ((y_min > 0.0) & (ratio < 1.0 + 1e-12))
+    for r in np.flatnonzero(flat):
+        errors[cells[r]] = OptimizationError(
+            f"objective is flat across [{W[r, 0]:g}, {W[r, -1]:g}] "
+            f"(max/min = {y_max[r]}/{y_min[r]})"
         )
-    k = int(np.argmax(ys))
-    on_edge = k in (0, xs.size - 1)
-    x_best, y_best, width = xs[k], ys[k], math.inf
+    cells, W, Y = cells[~flat], W[~flat], Y[~flat]
+    rows = np.arange(cells.size)
+    k = Y.argmax(axis=1)
+    on_edge[cells] = (k == 0) | (k == _SCAN_POINTS - 1)
+    x_best[cells], y_best[cells] = W[rows, k], Y[rows, k]
+    width = np.full(n, math.inf)
     while True:
-        a, b = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
-        if not tol * a < b - a < width:
+        a = W[rows, np.maximum(k - 1, 0)]
+        b = W[rows, np.minimum(k + 1, W.shape[1] - 1)]
+        go = (tol * a < b - a) & (b - a < width[cells])
+        cells, a, b = cells[go], a[go], b[go]
+        if not cells.size:
             break
-        width = b - a
-        xs = np.linspace(a, b, _ROUND_POINTS)
-        ys = _values(f, xs)
-        k = int(np.argmax(ys))
-        if ys[k] > y_best:
-            x_best, y_best = xs[k], ys[k]
-    return float(x_best), float(y_best), on_edge
+        width[cells] = b - a
+        # the values of np.linspace(a, b, _ROUND_POINTS, axis=1), without
+        # its per-call overhead
+        W = _ROUND_STEPS * ((b - a) / (_ROUND_POINTS - 1))[:, None] + a[:, None]
+        W[:, -1] = b
+        cells, W, Y = _evaluate(f, W, cells, errors)
+        rows = np.arange(cells.size)
+        k = Y.argmax(axis=1)
+        y = Y[rows, k]
+        better = y > y_best[cells]
+        x_best[cells[better]] = W[rows, k][better]
+        y_best[cells[better]] = y[better]
+    failed = [i for i, exc in enumerate(errors) if exc is not None]
+    x_best[failed] = y_best[failed] = math.nan
+    return x_best, y_best, on_edge, errors
 
 
 def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
@@ -181,6 +242,49 @@ def optimal_waist_analytic(cloud: CloudGeometry) -> OptimumRecord:
     )
 
 
+def _check_profile_tol(profile: str, tol: float) -> None:
+    if profile not in PHASE_VARIANTS:
+        raise ValueError(f"unknown phase variant {profile!r}")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+
+
+def _efficiency(clouds, profile: str):
+    """The per-atom collection efficiency as an objective of :func:`maximize_rows`.
+
+    The uniform phase takes its erfcx closed form over the whole waist
+    array at once; the compensated phases evaluate each cell on its own
+    axial mesh (padding the meshes of a row to one array gains nothing
+    and costs memory).
+    """
+    if profile == UNIFORM and all(c.sigma_z_bar > 0.0 for c in clouds):
+        sp_sq = np.array([[c.sigma_perp_bar ** 2] for c in clouds])
+        sz = np.array([[c.sigma_z_bar] for c in clouds])
+        return lambda W, cells: uniform_factors(sp_sq[cells], sz[cells], W)
+    return lambda W, cells: np.array(
+        [geometric_factors(clouds[i], w, profile) for i, w in zip(cells, W)]
+    )
+
+
+def _record(cloud: CloudGeometry, profile: str, w, g, status: str) -> OptimumRecord:
+    w, g = float(w), float(g)
+    return OptimumRecord(
+        w0_max_bar=w,
+        g_max=g,
+        xi_abs_sq_at_max=g * w * w / 6.0,
+        profile=profile,
+        cloud=cloud,
+        method="numeric",
+        status=status,
+    )
+
+
+def _status(on_edge: bool, exc: Exception | None) -> str:
+    if exc is not None:
+        return f"failed: {type(exc).__name__}"
+    return "edge" if on_edge else "ok"
+
+
 def optimal_waist_numeric(
     cloud: CloudGeometry,
     profile: str,
@@ -191,54 +295,56 @@ def optimal_waist_numeric(
 ) -> OptimumRecord:
     """Numerically maximize the collection efficiency over the waist.
 
-    ``profile`` is a phase-variant tag; the compensated variants are
-    re-matched to each trial waist.  The scan and every refinement round
-    evaluate all their waists in one :func:`geometric_factors` call.
-    ``objective`` may replace that efficiency with another batched one
-    (array of waists -> array of values), which ``validate`` and the
-    tests use to maximize the small-cloud model with the same machinery.
-    The record's ``status`` is ``"edge"`` when the scan's maximum is the
-    bracket's first or last waist, ``"ok"`` otherwise.
+    The one-cell case of :func:`optimal_waists`, raising instead of
+    recording a failure.  ``profile`` is a phase-variant tag; the
+    compensated variants are re-matched to each trial waist.
+    ``objective`` may replace the efficiency with another function
+    evaluated elementwise over an array of waists, which ``validate``
+    and the tests use to maximize the small-cloud model with the same
+    machinery.  The record's ``status`` is ``"edge"`` when the scan's
+    maximum is the bracket's first or last waist, ``"ok"`` otherwise.
     """
-    if profile not in PHASE_VARIANTS:
-        raise ValueError(f"unknown phase variant {profile!r}")
+    _check_profile_tol(profile, tol)
     lo, hi = bracket if bracket is not None else default_bracket(cloud)
     check_bracket(lo, hi)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
     if objective is None:
-        def objective(ws):
-            return geometric_factors(cloud, ws, profile)
-
-    w_best, g_best, on_edge = maximize_scalar(objective, lo, hi, tol=tol)
-    return OptimumRecord(
-        w0_max_bar=w_best,
-        g_max=g_best,
-        xi_abs_sq_at_max=g_best * w_best * w_best / 6.0,
-        profile=profile,
-        cloud=cloud,
-        method="numeric",
-        status="edge" if on_edge else "ok",
-    )
+        f = _efficiency([cloud], profile)
+    else:
+        def f(W, cells):
+            return objective(W)
+    x, g, on_edge, (exc,) = maximize_rows(f, [lo], [hi], tol=tol)
+    if exc is not None:
+        raise exc
+    return _record(cloud, profile, x[0], g[0], _status(on_edge[0], None))
 
 
-def _sweep_cell(sp: float, sz: float, n_atoms: int, profile: str, tol: float):
-    cloud = CloudGeometry(sp, sz, n_atoms)
-    try:
-        return optimal_waist_numeric(cloud, profile, tol=tol)
-    except (OptimizationError, ValueError) as exc:
-        # ValueError: the |xi|^2 <= 1 guard, or a bracket outside the
-        # supported range for this cell's sigma_perp
-        return OptimumRecord(
-            w0_max_bar=math.nan,
-            g_max=math.nan,
-            xi_abs_sq_at_max=math.nan,
-            profile=profile,
-            cloud=cloud,
-            method="numeric",
-            status=f"failed: {type(exc).__name__}",
-        )
+def optimal_waists(clouds, profile: str, tol: float = 1e-6) -> list:
+    """Optimal waist of every cloud of ``clouds``, found together.
+
+    Each cloud is searched over its :func:`default_bracket` by one
+    :func:`maximize_rows` run, so every scan and refinement round is one
+    objective call for all cells.  A cell that fails is recorded with a
+    ``status`` of ``"failed: "`` and the exception's name, and the other
+    cells carry on: ``ValueError`` for a bracket outside the supported
+    waists or the ``|xi|^2 <= 1`` guard, ``OptimizationError`` for a
+    flat or non-finite objective.
+    """
+    _check_profile_tol(profile, tol)
+    records, batch = [None] * len(clouds), []
+    for i, cloud in enumerate(clouds):
+        try:
+            check_bracket(*default_bracket(cloud))
+        except ValueError as exc:
+            records[i] = _record(cloud, profile, math.nan, math.nan, _status(False, exc))
+        else:
+            batch.append(i)
+    if batch:
+        cells = [clouds[i] for i in batch]
+        lo, hi = np.array([default_bracket(cloud) for cloud in cells]).T
+        x, g, on_edge, errors = maximize_rows(_efficiency(cells, profile), lo, hi, tol=tol)
+        for r, i in enumerate(batch):
+            records[i] = _record(clouds[i], profile, x[r], g[r], _status(on_edge[r], errors[r]))
+    return records
 
 
 def sweep(
@@ -252,18 +358,16 @@ def sweep(
     """Optimize the waist on every cell of a cloud-geometry grid.
 
     The axes, phase variant and tolerance are checked once, before any
-    cell runs; a cell that then fails is recorded with a ``status`` tag
-    instead of aborting the sweep.
+    cell runs.  The cells of each ``sigma_perp`` row are optimized
+    together by :func:`optimal_waists`; a cell that fails is recorded
+    with a ``status`` tag instead of aborting the sweep.
     """
     sp_values = np.asarray(sigma_perp_values, dtype=float)
     sz_values = np.asarray(sigma_z_values, dtype=float)
     _check_axes(sp_values, sz_values)
-    if profile not in PHASE_VARIANTS:
-        raise ValueError(f"unknown phase variant {profile!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_profile_tol(profile, tol)
     records = [
-        [_sweep_cell(sp, sz, n_atoms, profile, tol) for sz in sz_values]
+        optimal_waists([CloudGeometry(sp, sz, n_atoms) for sz in sz_values], profile, tol)
         for sp in sp_values
     ]
     return SweepGrid(sp_values, sz_values, profile, records)

@@ -18,6 +18,7 @@ from gausscollect.cli import (
     ConfigError,
     main,
     parse_config,
+    run,
 )
 from gausscollect.ensemble_model import GOUY_COMPENSATED, UNIFORM
 
@@ -349,6 +350,39 @@ class TestOutputs:
         assert err.startswith("error: --out")
         assert main(argv + [str(tmp_path)]) == EXIT_USAGE  # a directory
         assert not out.parent.exists()
+
+    def test_bad_out_is_usage_error_before_computing(self, tmp_path, monkeypatch, capsys):
+        import gausscollect.cli as cli_module
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli_module, "sweep", no_sweep)
+        missing = tmp_path / "missing" / "x.csv"
+        for out in (missing, tmp_path):
+            assert main(["sweep", "--preset", "fig2a2", "--out", str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"out": str(missing)}))
+        assert main(["sweep", "--preset", "fig2a2", "--config", str(config)]) == EXIT_USAGE
+        assert not missing.parent.exists()
+        # the check neither creates nor truncates the file
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output")
+        parse_config(["sweep", "--preset", "fig2a2", "--out", str(kept)])
+        assert kept.read_text() == "earlier output"
+        parse_config(["sweep", "--preset", "fig2a2", "--out", str(tmp_path / "new.csv")])
+        assert not (tmp_path / "new.csv").exists()
+
+    def test_out_failing_at_open_is_usage_error(self, tmp_path, capsys):
+        # a directory removed between parsing and writing: only opening sees it
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        config = parse_config("xi --sigma-perp-bar 3 --sigma-z-bar 10 --waist-bar 5 --out".split()
+                              + [str(gone / "x.csv")])
+        gone.rmdir()
+        assert run(config) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: --out {gone / 'x.csv'}: ")
 
     def test_dynamics_metadata_flags_saturation(self, tmp_path):
         out = tmp_path / "dyn.json"

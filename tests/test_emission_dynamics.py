@@ -54,6 +54,24 @@ class TestPulseShape:
         num = np.trapezoid(pulse.rabi(t) ** 2, t)
         assert pulse.pump_integral(100.0) == pytest.approx(num, rel=1e-7)
 
+    def test_gaussian_pump_integral_before_the_pulse(self):
+        # at t = 1 the pulse (center 50, width 10) has barely begun: the
+        # erf form cancelled two terms near -1 and +1 there (1.7e-5 off)
+        from scipy.integrate import quad
+
+        pulse = PulseShape.gaussian(0.05, 50.0, 10.0)
+        ref, _ = quad(lambda t: float(pulse.rabi(t)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        assert pulse.pump_integral(1.0) == pytest.approx(ref, rel=1e-12)
+        assert pulse.pump_integral(0.0) == 0.0
+
+    def test_sampled_pump_integral_starts_at_zero(self):
+        # samples before t = 0 do not count: the pump integral runs from 0
+        pulse = PulseShape.sampled([-100.0, 0.0, 100.0], [0.05] * 3)
+        curve = adiabatic_beta(pulse, np.linspace(0.0, 100.0, 11))
+        assert pulse.pump_integral(0.0) == 0.0
+        assert curve.beta[0] == pytest.approx(0.1, rel=1e-12)
+        assert curve.big_b[-1] == pytest.approx(-math.expm1(-1.0), rel=1e-12)
+
     def test_sampled_matches_interpolation(self):
         t = np.linspace(0.0, 10.0, 101)
         pulse = PulseShape.sampled(t, 0.05 * np.ones_like(t))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,15 +16,64 @@ from gausscollect.overlap_engine import compute_xi, geometric_factors, small_clo
 from gausscollect.waist_optimizer import (
     OptimizationError,
     default_bracket,
-    maximize_scalar,
+    maximize_rows,
     optimal_waist_analytic,
     optimal_waist_numeric,
+    optimal_waists,
     sweep,
 )
 
 
 def small_cloud_objective(cloud):
     return lambda ws: small_cloud_factors(cloud, ws)
+
+
+def maximize_scalar_reference(f, lo, hi, tol):
+    """The per-cell maximizer the row-batched one replaced: the same
+    64-point log scan and 17-point rounds for one 1-d objective."""
+    def values(xs):
+        ys = np.asarray(f(xs), dtype=float)
+        if not np.isfinite(ys).all():
+            raise OptimizationError("non-finite objective")
+        return ys
+
+    xs = np.geomspace(lo, hi, 64)
+    ys = values(xs)
+    y_min, y_max = float(ys.min()), float(ys.max())
+    if y_max <= 0.0 or (y_min > 0 and y_max / y_min < 1.0 + 1e-12):
+        raise OptimizationError("flat objective")
+    k = int(np.argmax(ys))
+    on_edge = k in (0, xs.size - 1)
+    x_best, y_best, width = xs[k], ys[k], math.inf
+    while True:
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
+        if not tol * a < b - a < width:
+            break
+        width = b - a
+        xs = np.linspace(a, b, 17)
+        ys = values(xs)
+        k = int(np.argmax(ys))
+        if ys[k] > y_best:
+            x_best, y_best = xs[k], ys[k]
+    return float(x_best), float(y_best), on_edge
+
+
+def per_cell_reference(cloud, profile, tol):
+    lo, hi = default_bracket(cloud)
+    w, g, on_edge = maximize_scalar_reference(
+        lambda ws: geometric_factors(cloud, ws, profile), lo, hi, tol
+    )
+    return w, g, "edge" if on_edge else "ok"
+
+
+@functools.cache
+def preset_grid(variant, stride):
+    sp_axis, sz_axis = _PRESET_AXES
+    return sweep(sp_axis[::stride], sz_axis[::stride], variant, 1e-6)
+
+
+def parabola(W, cells):
+    return -((W - 3.0) ** 2) + 7.0
 
 
 def brent_reference(cloud, profile, tol):
@@ -132,8 +182,7 @@ class TestNumericOptimum:
     ])
     def test_matches_scalar_brent_on_preset_axes(self, variant, stride):
         tol = 1e-6
-        sp_axis, sz_axis = _PRESET_AXES
-        grid = sweep(sp_axis[::stride], sz_axis[::stride], variant, tol)
+        grid = preset_grid(variant, stride)
         worst_w, worst_g, status_diffs = 0.0, 0.0, []
         for rec in (rec for row in grid.records for rec in row):
             w_ref, g_ref, status_ref = brent_reference(rec.cloud, variant, tol)
@@ -145,36 +194,115 @@ class TestNumericOptimum:
         assert worst_g <= 1e-12
         assert not status_diffs
 
+    def test_uniform_rows_reproduce_per_cell_maximizer_exactly(self):
+        grid = preset_grid(UNIFORM, 1)
+        diffs = [
+            (rec.cloud, rec.w0_max_bar, rec.g_max, rec.status, ref)
+            for row in grid.records for rec in row
+            if (rec.w0_max_bar, rec.g_max, rec.status)
+            != (ref := per_cell_reference(rec.cloud, UNIFORM, 1e-6))
+        ]
+        assert not diffs
 
-class TestMaximizeScalar:
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_compensated_rows_match_per_cell_maximizer(self, variant):
+        tol = 1e-6
+        worst_w, worst_g, status_diffs = 0.0, 0.0, []
+        for rec in (rec for row in preset_grid(variant, 3).records for rec in row):
+            w_ref, g_ref, status_ref = per_cell_reference(rec.cloud, variant, tol)
+            worst_w = max(worst_w, abs(rec.w0_max_bar - w_ref) / w_ref)
+            worst_g = max(worst_g, (g_ref - rec.g_max) / g_ref)
+            if rec.status != status_ref:
+                status_diffs.append((rec.cloud, rec.status, status_ref))
+        assert worst_w <= tol
+        assert worst_g <= 1e-12
+        assert not status_diffs
+
+    @pytest.mark.parametrize("variant, stride", [
+        (UNIFORM, 1), (GOUY_COMPENSATED, 3), (FULL_GAUSSIAN, 3),
+    ])
+    def test_g_falls_toward_both_bracket_ends(self, variant, stride):
+        # on 40 log-spaced waists from the optimum out to each bracket end;
+        # the full-Gaussian phase has a shallow second maximum at the
+        # sub-wavelength waists near the lower end of some cells (G dips
+        # by < 1% there, matching the brute-force overlap), so for it
+        # only the ends must lie below the optimum
+        not_falling, above_optimum = [], []
+        for rec in (rec for row in preset_grid(variant, stride).records for rec in row):
+            assert rec.status == "ok"
+            lo, hi = default_bracket(rec.cloud)
+            w = rec.w0_max_bar
+            left = geometric_factors(rec.cloud, np.geomspace(lo, w, 40), variant)
+            right = geometric_factors(rec.cloud, np.geomspace(w, hi, 40), variant)
+            if max(left.max(), right.max()) > rec.g_max * (1.0 + 1e-12):
+                above_optimum.append(rec.cloud)
+            if variant == FULL_GAUSSIAN:
+                falling = left[0] < rec.g_max and right[-1] < rec.g_max
+            else:
+                falling = (np.diff(left) > 0).all() and (np.diff(right) < 0).all()
+            if not falling:
+                not_falling.append(rec.cloud)
+        assert not above_optimum
+        assert not not_falling
+
+
+class TestMaximizeRows:
     def test_parabola(self):
-        x, fx, _ = maximize_scalar(lambda x: -((x - 3.0) ** 2) + 7.0, 0.5, 20.0, tol=1e-9)
-        assert x == pytest.approx(3.0, rel=1e-6)
-        assert fx == pytest.approx(7.0, abs=1e-10)
+        x, fx, on_edge, errors = maximize_rows(parabola, [0.5], [20.0], tol=1e-9)
+        assert errors == [None]
+        assert x[0] == pytest.approx(3.0, rel=1e-6)
+        assert fx[0] == pytest.approx(7.0, abs=1e-10)
+        assert not on_edge[0]
 
     def test_tol_below_float_resolution_terminates(self):
-        x, fx, on_edge = maximize_scalar(
-            lambda x: -((x - 3.0) ** 2) + 7.0, 0.5, 20.0, tol=1e-300
+        x, fx, on_edge, errors = maximize_rows(parabola, [0.5], [20.0], tol=1e-300)
+        assert errors == [None]
+        assert x[0] == pytest.approx(3.0, rel=1e-7)
+        assert fx[0] == pytest.approx(7.0, abs=1e-14)
+        assert not on_edge[0]
+
+    def test_flat_objective_fails(self):
+        _, fx, _, errors = maximize_rows(lambda W, cells: np.ones_like(W), [1.0], [10.0])
+        assert isinstance(errors[0], OptimizationError)
+        assert "flat" in str(errors[0])
+        assert math.isnan(fx[0])
+
+    def test_non_finite_fails(self):
+        _, _, _, errors = maximize_rows(
+            lambda W, cells: np.full_like(W, math.nan), [1.0], [10.0]
         )
-        assert x == pytest.approx(3.0, rel=1e-7)
-        assert fx == pytest.approx(7.0, abs=1e-14)
-        assert not on_edge
+        assert isinstance(errors[0], OptimizationError)
 
-    def test_flat_objective_raises(self):
-        with pytest.raises(OptimizationError):
-            maximize_scalar(lambda x: np.ones_like(x), 1.0, 10.0)
-
-    def test_non_finite_raises(self):
-        with pytest.raises(OptimizationError):
-            maximize_scalar(lambda x: np.full_like(x, math.nan), 1.0, 10.0)
-
-    def test_non_finite_in_refinement_raises(self):
+    def test_non_finite_in_refinement_fails(self):
         # finite on every scan point, non-finite inside the refined bracket
-        with pytest.raises(OptimizationError, match="non-finite"):
-            maximize_scalar(
-                lambda x: np.where(abs(x - 3.0) < 1e-3, math.nan, 7.0 - (x - 3.0) ** 2),
-                1.0, 10.0,
-            )
+        _, _, _, errors = maximize_rows(
+            lambda W, cells: np.where(abs(W - 3.0) < 1e-3, math.nan, 7.0 - (W - 3.0) ** 2),
+            [1.0], [10.0],
+        )
+        assert isinstance(errors[0], OptimizationError)
+        assert "non-finite" in str(errors[0])
+
+    def test_rows_are_independent(self):
+        # peaks at 2, 5 and 9 on brackets of their own; the middle row
+        # also has a non-finite value, and the last one raises
+        peaks = np.array([[2.0], [5.0], [9.0]])
+
+        def f(W, cells):
+            if 2 in cells:
+                raise ValueError("row 2 fails")
+            Y = 1.0 - (W / peaks[cells] - 1.0) ** 2
+            return np.where((cells[:, None] == 1) & (W > 5.5), math.nan, Y)
+
+        x, fx, on_edge, errors = maximize_rows(f, [1.0, 0.5, 0.5], [4.0, 50.0, 50.0], tol=1e-9)
+        assert errors[0] is None and x[0] == pytest.approx(2.0, rel=1e-8)
+        assert isinstance(errors[1], OptimizationError) and math.isnan(x[1])
+        assert isinstance(errors[2], ValueError) and math.isnan(fx[2])
+        alone = maximize_rows(lambda W, cells: 1.0 - (W / 2.0 - 1.0) ** 2, [1.0], [4.0], tol=1e-9)
+        assert (x[0], fx[0], on_edge[0]) == (alone[0][0], alone[1][0], alone[2][0])
+
+    def test_rejects_empty_bracket(self):
+        with pytest.raises(ValueError):
+            maximize_rows(parabola, [1.0, 5.0], [10.0, 5.0])
 
 
 class TestSweep:
@@ -206,24 +334,49 @@ class TestSweep:
         grid = sweep([5.0], [300.0], GOUY_COMPENSATED, 1e-6, n_atoms=1000)
         assert 1000.0 * grid.records[0][0].g_max >= 5.0
 
-    def test_cell_failure_recorded_not_raised(self, monkeypatch):
-        import gausscollect.waist_optimizer as mod
+    @pytest.mark.parametrize("variant", [UNIFORM, GOUY_COMPENSATED])
+    @pytest.mark.parametrize("fault, error", [
+        (lambda xi: xi * math.nan, "OptimizationError"),
+        # twice the overlap breaks the |xi|^2 <= 1 guard at wide waists
+        (lambda xi: 2.0 * xi, "ValueError"),
+    ], ids=["nan", "over_one"])
+    def test_cell_failure_recorded_not_raised(self, monkeypatch, variant, fault, error):
+        import gausscollect.overlap_engine as engine
 
-        # the ValueError is the one OverlapResult.from_xi raises for |xi|^2 > 1
-        for error in (
-            mod.OptimizationError("injected"),
-            ValueError("|xi|^2 = 1.5 exceeds the normalization bound of 1"),
-        ):
-            def broken(cloud, profile, bracket=None, tol=1e-6, error=error, **kw):
-                if cloud.sigma_perp_bar > 3.0:
-                    raise error
-                return optimal_waist_numeric(cloud, profile, bracket, tol, **kw)
+        sp, sz = [2.0, 5.0], [50.0, 100.0, 200.0]
+        clean = sweep(sp, sz, variant, 1e-6)
+        true_kernel = engine._uniform_xi if variant == UNIFORM else engine._xi_kernel
+        if variant == UNIFORM:
+            def faulty(zeta, sp_sq, sigma_z):
+                xi = true_kernel(zeta, sp_sq, sigma_z)
+                return np.where(sigma_z == 100.0, fault(xi), xi)
+            monkeypatch.setattr(engine, "_uniform_xi", faulty)
+        else:
+            def faulty(cloud, w0, profile):
+                xi, quad = true_kernel(cloud, w0, profile)
+                return (fault(xi) if cloud.sigma_z_bar == 100.0 else xi), quad
+            monkeypatch.setattr(engine, "_xi_kernel", faulty)
+        grid = sweep(sp, sz, variant, 1e-6)
+        for row, clean_row in zip(grid.records, clean.records):
+            bad = row[1]
+            assert bad.status == f"failed: {error}"
+            assert math.isnan(bad.g_max) and math.isnan(bad.w0_max_bar)
+            for rec, ref in zip(row[::2], clean_row[::2]):
+                assert rec == ref and rec.status == "ok"
 
-            monkeypatch.setattr(mod, "optimal_waist_numeric", broken)
-            grid = mod.sweep([2.0, 5.0], [50.0], UNIFORM, 1e-6)
-            assert grid.records[0][0].status == "ok"
-            assert grid.records[1][0].status == f"failed: {type(error).__name__}"
-            assert math.isnan(grid.records[1][0].g_max)
+    def test_unsupported_bracket_fails_alone(self):
+        # sigma_perp > 141.4 puts the default bracket's upper end past 1e4
+        clouds = [CloudGeometry(5.0, 100.0), CloudGeometry(150.0, 100.0),
+                  CloudGeometry(5.0, 200.0)]
+        records = optimal_waists(clouds, UNIFORM)
+        assert records[1].status == "failed: ValueError"
+        assert math.isnan(records[1].g_max)
+        for rec, cloud in zip(records[::2], clouds[::2]):
+            assert rec == optimal_waist_numeric(cloud, UNIFORM)
+            assert rec.status == "ok"
+        grid = sweep([5.0, 150.0], [100.0, 200.0], UNIFORM, 1e-6)
+        assert [r.status for r in grid.records[0]] == ["ok", "ok"]
+        assert [r.status for r in grid.records[1]] == ["failed: ValueError"] * 2
 
     def test_sweep_arguments_raise_before_any_cell(self, monkeypatch):
         import gausscollect.waist_optimizer as mod
@@ -231,7 +384,8 @@ class TestSweep:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the arguments were checked")
 
-        monkeypatch.setattr(mod, "optimal_waist_numeric", no_cell)
+        for name in ("maximize_rows", "uniform_factors", "geometric_factors"):
+            monkeypatch.setattr(mod, name, no_cell)
         with pytest.raises(ValueError, match="phase variant"):
             mod.sweep([2.0], [50.0], "bespoke", 1e-6)
         with pytest.raises(ValueError, match="tol"):
