@@ -4,11 +4,14 @@ The interface is dimensionless-first (wavenumber-scaled sigmas and
 waists); physical cloud sizes in micrometers plus a wavelength in
 nanometers may be given instead and are converted at this boundary and
 nowhere else.  Every emitted file embeds a metadata preamble (tool
-version, resolved configuration, seed) sufficient to reproduce the run
-byte for byte; no timestamps are written.
+version, and each field the command reads with its resolved value)
+sufficient to reproduce the run byte for byte; no timestamps are written.
 
-Exit codes: 0 success, 1 numerical failure (non-convergence), 2 usage
-or configuration error.
+Each command takes only the flags it reads: ``_FLAGS`` gives every flag's
+type and default, ``_COMMANDS`` each command's handler and fields.
+
+Exit codes: 0 success, 1 numerical failure (non-convergence) or a
+closed stdout, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .waist_optimizer import (
     sweep,
 )
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main", "PRESETS"]
+__all__ = ["ConfigError", "parse_config", "run", "main", "PRESETS"]
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -67,49 +69,35 @@ class ConfigError(Exception):
     """Invalid or inconsistent command-line/config-file input."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    sigma_perp_bar: float | None = None
-    sigma_z_bar: float | None = None
-    waist_bar: float | None = None
-    phase: str = UNIFORM
-    n_atoms: int = 1000
-    rabi: float = 0.05
-    pulse: str = "constant"
-    pulse_center: float = 50.0
-    pulse_width: float = 10.0
-    t_end: float = 2000.0
-    t_steps: int = 2000
-    grid_perp: np.ndarray | None = None
-    grid_z: np.ndarray | None = None
-    preset: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    tol: float = 1e-6
-    seed: int = 1234
-    verbose: bool = False
-    suite: str = "all"
-    trials: int = 10
-    samples: int = 100_000
-    n_theta: int = 25
-    theta_max: float = math.pi
-    n_phi: int = 1
-    resolved: dict = field(default_factory=dict)
-
-
-# every flag, and config-file field, with its type or its tuple of choices
-_FLAG_FIELDS = {
-    "sigma_perp_bar": float, "sigma_z_bar": float,
-    "sigma_perp_um": float, "sigma_z_um": float, "wavelength_nm": float,
-    "waist_bar": float, "phase": tuple(sorted(PHASE_ALIASES)), "n_atoms": int,
-    "rabi": float, "pulse": ("constant", "gaussian"), "pulse_center": float,
-    "pulse_width": float, "t_end": float, "t_steps": int,
-    "grid_perp": str, "grid_z": str, "preset": tuple(sorted(PRESETS)),
-    "out": str, "format": ("csv", "json"), "tol": float, "seed": int,
-    "verbose": bool, "suite": ("overlap", "optimum", "dynamics", "all"), "trials": int,
-    "samples": int, "n_theta": int, "theta_max": float, "n_phi": int,
+# every flag, and config-file field: its type or its tuple of choices, and its default
+_FLAGS = {
+    "sigma_perp_bar": (float, None), "sigma_z_bar": (float, None),
+    "sigma_perp_um": (float, None), "sigma_z_um": (float, None),
+    "wavelength_nm": (float, None), "waist_bar": (float, None),
+    "phase": (tuple(sorted(PHASE_ALIASES)), "uniform"), "n_atoms": (int, 1000),
+    "rabi": (float, 0.05), "pulse": (("constant", "gaussian"), "constant"),
+    "pulse_center": (float, 50.0), "pulse_width": (float, 10.0),
+    "t_end": (float, 2000.0), "t_steps": (int, 2000),
+    "grid_perp": (str, None), "grid_z": (str, None), "preset": (tuple(sorted(PRESETS)), None),
+    "out": (str, None), "format": (("csv", "json"), "csv"), "verbose": (bool, False),
+    "tol": (float, 1e-6), "seed": (int, 1234),
+    "suite": (("overlap", "optimum", "dynamics", "all"), "all"), "trials": (int, 10),
+    "samples": (int, 100_000), "n_theta": (int, 25), "theta_max": (float, math.pi),
+    "n_phi": (int, 1),
 }
+
+# the cloud in either description, and the output fields every command takes
+_PHYSICAL = ("sigma_perp_um", "sigma_z_um", "wavelength_nm")
+_CLOUD = ("sigma_perp_bar", "sigma_z_bar", *_PHYSICAL)
+_OUTPUT = ("out", "format", "verbose")
+# inputs the resolved configuration leaves out: the output path is not
+# part of the computation, and physical sizes resolve into dimensionless ones
+_UNRECORDED = ("out", *_PHYSICAL)
+
+# lower bounds of the numeric fields
+_POSITIVE = ("sigma_perp_bar", "waist_bar", "tol")
+_AT_LEAST = {"sigma_z_bar": 0, "seed": 0, **dict.fromkeys(
+    ("n_atoms", "samples", "t_steps", "trials", "n_theta", "n_phi"), 1)}
 
 _JSON_KINDS = {
     float: "a finite JSON number", int: "a JSON integer", str: "a JSON string",
@@ -126,17 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photon collection from trapped atomic ensembles into Gaussian modes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("xi", "overlap of the phased emission with one Gaussian mode"),
-        ("optimize", "waist maximizing the collection efficiency for one cloud"),
-        ("sweep", "optimal waist and efficiency on a cloud-geometry grid"),
-        ("dynamics", "emission envelope and collected photon number vs time"),
-        ("farfield", "Monte-Carlo angular emission pattern"),
-        ("validate", "cross-check closed forms against independent oracles"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for command, (text, _, fields, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON file mirroring the flag names")
-        for name, kind in _FLAG_FIELDS.items():
+        for name in fields + _OUTPUT:
+            kind = _FLAGS[name][0]
             flag = "--" + name.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True)
@@ -179,14 +161,19 @@ def _config_value(key: str, kind, value):
     return float(value) if kind is float else value
 
 
-def parse_config(argv) -> RunConfig:
-    """Resolve flags plus optional config file into a :class:`RunConfig`.
+def parse_config(argv) -> argparse.Namespace:
+    """Resolve flags plus optional config file into the command's fields.
 
-    Flags override config-file values.  Exactly one of the physical
-    (micrometer + wavelength) and dimensionless cloud descriptions may
-    be supplied.
+    The namespace holds ``command``, ``resolved`` and exactly the fields
+    the command reads, defaults filled in.  Flags override config-file
+    values; a config-file field of another command is a usage error.
+    Exactly one of the physical (micrometer + wavelength) and
+    dimensionless cloud descriptions may be supplied.
     """
     args = _build_parser().parse_args(argv)
+    command = args.command
+    _, _, reads, required = _COMMANDS[command]
+    fields = reads + _OUTPUT
     values: dict = {}
     if args.config:
         try:
@@ -198,45 +185,46 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         for key, val in raw.items():
             norm = key.replace("-", "_")
-            if norm not in _FLAG_FIELDS:
+            if norm not in _FLAGS:
                 raise ConfigError(f"config file: unknown field {key!r}")
-            values[norm] = _config_value(key, _FLAG_FIELDS[norm], val)
-    for name in _FLAG_FIELDS:
-        flag_val = getattr(args, name, None)
+            values[norm] = _config_value(key, _FLAGS[norm][0], val)
+            if norm not in fields:
+                raise ConfigError(f"config file: {command} does not take {key!r}")
+    for name in fields:
+        flag_val = getattr(args, name)
         if flag_val is not None:
             values[name] = flag_val
 
-    physical = {k: values.get(k) for k in ("sigma_perp_um", "sigma_z_um", "wavelength_nm")}
-    has_physical = any(v is not None for v in physical.values())
-    has_bar_sigma = values.get("sigma_perp_bar") is not None or values.get("sigma_z_bar") is not None
-    if has_physical and has_bar_sigma:
+    has_physical = any(k in values for k in _PHYSICAL)
+    if has_physical and ("sigma_perp_bar" in values or "sigma_z_bar" in values):
         raise ConfigError(
             "give either dimensionless --sigma-*-bar or physical --sigma-*-um "
             "with --wavelength-nm, not both"
         )
     if has_physical:
         for key in ("wavelength_nm", "sigma_perp_um", "sigma_z_um"):
-            if physical[key] is None:
+            if key not in values:
                 raise ConfigError(f"physical units: missing {key.replace('_', '-')}")
-        if not physical["wavelength_nm"] > 0.0:
+        if not values["wavelength_nm"] > 0.0:
             raise ConfigError("physical units: wavelength_nm must be positive")
-        k_e = 2.0 * math.pi / physical["wavelength_nm"]
-        values["sigma_perp_bar"] = k_e * physical["sigma_perp_um"] * 1000.0
-        values["sigma_z_bar"] = k_e * physical["sigma_z_um"] * 1000.0
+        k_e = 2.0 * math.pi / values["wavelength_nm"]
+        values["sigma_perp_bar"] = k_e * values["sigma_perp_um"] * 1000.0
+        values["sigma_z_bar"] = k_e * values["sigma_z_um"] * 1000.0
 
-    config = RunConfig(command=args.command)
-    for name, value in values.items():
-        if name in ("sigma_perp_um", "sigma_z_um", "wavelength_nm"):
-            continue
-        if name == "phase":
-            value = PHASE_ALIASES[value]
-        elif name == "grid_perp":
-            value = _parse_grid(value, "--grid-perp")
-        elif name == "grid_z":
-            value = _parse_grid(value, "--grid-z")
-        setattr(config, name, value)
-
-    _validate_command_inputs(config)
+    for name in ("grid_perp", "grid_z"):
+        if name in values:
+            values[name] = _parse_grid(values[name], "--" + name.replace("_", "-"))
+    if "preset" in values:
+        given = [name for name in ("phase", "grid_perp", "grid_z") if name in values]
+        if given:
+            raise ConfigError(f"sweep: --preset fixes {', '.join(given)}; give one or the other")
+        values["phase"] = PRESETS[values["preset"]]
+        values["grid_perp"], values["grid_z"] = _PRESET_AXES
+    config = argparse.Namespace(
+        command=command, **{name: values.get(name, _FLAGS[name][1]) for name in fields})
+    if "phase" in fields:
+        config.phase = PHASE_ALIASES[config.phase]
+    _validate_command_inputs(config, required)
     config.resolved = _resolved_dict(config)
     if config.verbose:
         print("resolved config: " + json.dumps(config.resolved, sort_keys=True),
@@ -244,48 +232,30 @@ def parse_config(argv) -> RunConfig:
     return config
 
 
-def _require(config: RunConfig, *names: str):
-    for name in names:
-        if getattr(config, name) is None:
-            raise ConfigError(f"{config.command}: missing required field {name}")
-
-
-def _validate_command_inputs(config: RunConfig):
-    cmd = config.command
-    for name, kind in _FLAG_FIELDS.items():
-        value = getattr(config, name, None)
-        if kind is float and value is not None and not math.isfinite(value):
+def _validate_command_inputs(config: argparse.Namespace, required):
+    cmd, fields = config.command, vars(config)
+    for name, value in fields.items():
+        if value is None or name not in _FLAGS:
+            continue
+        if _FLAGS[name][0] is float and not math.isfinite(value):
             raise ConfigError(f"{cmd}: {name} must be finite, got {value}")
-    if cmd == "xi":
-        _require(config, "sigma_perp_bar", "sigma_z_bar", "waist_bar")
-    elif cmd == "optimize":
-        _require(config, "sigma_perp_bar", "sigma_z_bar")
-    elif cmd == "sweep":
-        if config.preset is None and (config.grid_perp is None or config.grid_z is None):
-            raise ConfigError("sweep: missing required field grid_perp (or --preset)")
-    elif cmd == "dynamics":
-        _require(config, "sigma_perp_bar", "sigma_z_bar", "waist_bar")
+        if name in _POSITIVE and value <= 0.0:
+            raise ConfigError(f"{cmd}: {name} must be positive, got {value}")
+        if name in _AT_LEAST and value < _AT_LEAST[name]:
+            raise ConfigError(f"{cmd}: {name} must be >= {_AT_LEAST[name]}, got {value}")
+    for name in required:
+        if fields[name] is None:
+            raise ConfigError(f"{cmd}: missing required field {name}")
+    if cmd == "sweep":
+        for name in ("grid_perp", "grid_z"):
+            if fields[name] is None:
+                raise ConfigError(f"sweep: missing required field {name} (or --preset)")
     elif cmd == "farfield":
-        _require(config, "sigma_perp_bar", "sigma_z_bar")
         if config.sigma_z_bar == 0.0:
             raise ConfigError("farfield: sigma_z_bar must be positive")
         if config.phase != UNIFORM and config.waist_bar is None:
             raise ConfigError("farfield: missing required field waist_bar "
                               "(compensated phases reference the collection beam)")
-    for name in ("sigma_perp_bar", "waist_bar"):
-        value = getattr(config, name)
-        if value is not None and value <= 0.0:
-            raise ConfigError(f"{cmd}: {name} must be positive, got {value}")
-    if config.sigma_z_bar is not None and config.sigma_z_bar < 0.0:
-        raise ConfigError(f"{cmd}: sigma_z_bar must be non-negative")
-    if config.tol <= 0.0:
-        raise ConfigError(f"{cmd}: tol must be positive")
-    for name in ("n_atoms", "samples", "t_steps", "trials", "n_theta", "n_phi"):
-        value = getattr(config, name)
-        if value < 1:
-            raise ConfigError(f"{cmd}: {name} must be >= 1, got {value}")
-    if config.seed < 0:
-        raise ConfigError(f"{cmd}: seed must be >= 0, got {config.seed}")
     if config.out is not None:
         _check_out_path(config.out)
     if cmd == "dynamics":
@@ -314,7 +284,7 @@ def _check_out_path(path: str):
         raise ConfigError(f"--out {path}: No such directory {parent}")
 
 
-def _dynamics_drive(config: RunConfig):
+def _dynamics_drive(config: argparse.Namespace):
     """The drive pulse and time grid of ``dynamics``, checked by their own rules."""
     try:
         if config.pulse == "constant":
@@ -327,12 +297,10 @@ def _dynamics_drive(config: RunConfig):
     return pulse, t_grid
 
 
-def _resolved_dict(config: RunConfig) -> dict:
+def _resolved_dict(config: argparse.Namespace) -> dict:
     out = {}
     for name, value in vars(config).items():
-        # the output path is not part of the computation; leaving it out
-        # keeps runs to different destinations byte-comparable
-        if name in ("resolved", "out") or value is None:
+        if name in _UNRECORDED or value is None:
             continue
         if isinstance(value, np.ndarray):
             value = [float(v) for v in value]
@@ -344,21 +312,13 @@ def _resolved_dict(config: RunConfig) -> dict:
 # output writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _write_csv(stream, header, rows, metadata):
+    # every row holds Python floats, ints and strs: csv writes a float as its repr
     stream.write(f"# gausscollect {__version__}\r\n")
     stream.write("# config: " + json.dumps(metadata, sort_keys=True) + "\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
 
 
 def _json_value(value):
@@ -378,7 +338,7 @@ def _write_json(stream, header, rows, metadata):
     stream.write("\n")
 
 
-def _emit(config: RunConfig, header, rows, extra_meta=None):
+def _emit(config: argparse.Namespace, header, rows, extra_meta=None):
     metadata = dict(config.resolved)
     if extra_meta:
         metadata.update(extra_meta)
@@ -414,8 +374,8 @@ def _optimum_row(record, n_atoms: int):
     ]
 
 
-def _cmd_xi(config: RunConfig) -> int:
-    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
+def _cmd_xi(config: argparse.Namespace) -> int:
+    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
     result = compute_xi(cloud, config.waist_bar, config.phase)
     header = [
         "sigma_perp_bar", "sigma_z_bar", "phase", "w0_bar",
@@ -430,21 +390,16 @@ def _cmd_xi(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(config: RunConfig) -> int:
+def _cmd_optimize(config: argparse.Namespace) -> int:
     cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
     record = optimal_waist_numeric(cloud, config.phase, tol=config.tol)
     _emit(config, _SWEEP_HEADER, [_optimum_row(record, config.n_atoms)])
     return EXIT_OK
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    if config.preset is not None:
-        phase = PHASE_ALIASES[PRESETS[config.preset]]
-        sp_values, sz_values = _PRESET_AXES
-    else:
-        phase = config.phase
-        sp_values, sz_values = config.grid_perp, config.grid_z
-    grid = sweep(sp_values, sz_values, phase, config.tol, n_atoms=config.n_atoms)
+def _cmd_sweep(config: argparse.Namespace) -> int:
+    grid = sweep(config.grid_perp, config.grid_z, config.phase, config.tol,
+                 n_atoms=config.n_atoms)
     rows = [
         _optimum_row(record, config.n_atoms)
         for row in grid.records
@@ -456,7 +411,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     return EXIT_NUMERICAL if failures == len(rows) else EXIT_OK
 
 
-def _cmd_dynamics(config: RunConfig) -> int:
+def _cmd_dynamics(config: argparse.Namespace) -> int:
     cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
     pulse, t_grid = _dynamics_drive(config)
     curve = photon_number(cloud, config.phase, config.waist_bar, pulse, t_grid)
@@ -477,8 +432,8 @@ def _cmd_dynamics(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_farfield(config: RunConfig) -> int:
-    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
+def _cmd_farfield(config: argparse.Namespace) -> int:
+    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
     profile = make_profile(config.phase, config.waist_bar)
     thetas = np.linspace(0.0, config.theta_max, config.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, config.n_phi, endpoint=False)
@@ -494,7 +449,7 @@ def _cmd_farfield(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(config: RunConfig) -> int:
+def _cmd_validate(config: argparse.Namespace) -> int:
     reports = run_suite(config.suite, config.trials, config.tol, config.seed)
     ok = True
     for report in reports:
@@ -505,20 +460,33 @@ def _cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+_CLOUD_REQUIRED = ("sigma_perp_bar", "sigma_z_bar")
+
+# command: help text, handler, the fields it reads besides _OUTPUT, the
+# fields it requires
 _COMMANDS = {
-    "xi": _cmd_xi,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "dynamics": _cmd_dynamics,
-    "farfield": _cmd_farfield,
-    "validate": _cmd_validate,
+    "xi": ("overlap of the phased emission with one Gaussian mode", _cmd_xi,
+           (*_CLOUD, "waist_bar", "phase"), (*_CLOUD_REQUIRED, "waist_bar")),
+    "optimize": ("waist maximizing the collection efficiency for one cloud", _cmd_optimize,
+                 (*_CLOUD, "phase", "n_atoms", "tol"), _CLOUD_REQUIRED),
+    "sweep": ("optimal waist and efficiency on a cloud-geometry grid", _cmd_sweep,
+              ("phase", "n_atoms", "tol", "grid_perp", "grid_z", "preset"), ()),
+    "dynamics": ("emission envelope and collected photon number vs time", _cmd_dynamics,
+                 (*_CLOUD, "waist_bar", "phase", "n_atoms", "rabi", "pulse", "pulse_center",
+                  "pulse_width", "t_end", "t_steps"),
+                 (*_CLOUD_REQUIRED, "waist_bar")),
+    "farfield": ("Monte-Carlo angular emission pattern", _cmd_farfield,
+                 (*_CLOUD, "waist_bar", "phase", "samples", "seed", "n_theta", "theta_max",
+                  "n_phi"), _CLOUD_REQUIRED),
+    "validate": ("cross-check closed forms against independent oracles", _cmd_validate,
+                 ("suite", "trials", "tol", "seed"), ()),
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute a resolved configuration; map numerical failure to exit 1."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][1](config)
     except (QuadratureError, OptimizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -536,7 +504,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse reports its own usage errors with code 2
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point it at devnull
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_NUMERICAL
+    return code
 
 
 if __name__ == "__main__":

@@ -288,7 +288,6 @@ def _status(on_edge: bool, exc: Exception | None) -> str:
 def optimal_waist_numeric(
     cloud: CloudGeometry,
     profile: str,
-    bracket: tuple[float, float] | None = None,
     tol: float = 1e-6,
     *,
     objective=None,
@@ -305,7 +304,7 @@ def optimal_waist_numeric(
     maximum is the bracket's first or last waist, ``"ok"`` otherwise.
     """
     _check_profile_tol(profile, tol)
-    lo, hi = bracket if bracket is not None else default_bracket(cloud)
+    lo, hi = default_bracket(cloud)
     check_bracket(lo, hi)
     if objective is None:
         f = _efficiency([cloud], profile)
@@ -330,17 +329,19 @@ def optimal_waists(clouds, profile: str, tol: float = 1e-6) -> list:
     flat or non-finite objective.
     """
     _check_profile_tol(profile, tol)
-    records, batch = [None] * len(clouds), []
+    records, batch, brackets = [None] * len(clouds), [], []
     for i, cloud in enumerate(clouds):
+        bracket = default_bracket(cloud)
         try:
-            check_bracket(*default_bracket(cloud))
+            check_bracket(*bracket)
         except ValueError as exc:
             records[i] = _record(cloud, profile, math.nan, math.nan, _status(False, exc))
         else:
             batch.append(i)
+            brackets.append(bracket)
     if batch:
         cells = [clouds[i] for i in batch]
-        lo, hi = np.array([default_bracket(cloud) for cloud in cells]).T
+        lo, hi = np.array(brackets).T
         x, g, on_edge, errors = maximize_rows(_efficiency(cells, profile), lo, hi, tol=tol)
         for r, i in enumerate(batch):
             records[i] = _record(clouds[i], profile, x[r], g[r], _status(on_edge[r], errors[r]))

@@ -255,7 +255,7 @@ def test_criterion_8_far_field_coherence():
 def test_criterion_9_deterministic_outputs(tmp_path):
     args = [
         "sweep", "--grid-perp", "2:8:3", "--grid-z", "20:200:3",
-        "--phase", "gouy", "--seed", "99",
+        "--phase", "gouy",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0

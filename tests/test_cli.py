@@ -1,9 +1,11 @@
+import argparse
 import csv
-import io
 import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,16 +13,22 @@ import numpy as np
 import pytest
 
 from gausscollect.cli import (
+    _FLAGS,
+    _PRESET_AXES,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     PRESETS,
     ConfigError,
+    _build_parser,
     main,
     parse_config,
     run,
 )
 from gausscollect.ensemble_model import GOUY_COMPENSATED, UNIFORM
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MAIN = "import sys; from gausscollect.cli import main; sys.exit(main())"
 
 
 def read_csv(path):
@@ -33,17 +41,73 @@ def read_csv(path):
     return raw, comments, rows
 
 
+def python_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_leaves_out_scipy_optimize_and_integrate():
     # both cost about a third of a second of every CLI start, and no
     # production path needs them
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = ("import sys, gausscollect.cli; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_gives_no_traceback():
+    # 20001 rows overflow the pipe buffer, so the write fails after the
+    # reader has gone
+    argv = "dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-steps 20000"
+    with subprocess.Popen([sys.executable, "-c", MAIN, *argv.split()], env=python_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("# gausscollect")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_NUMERICAL
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def subcommand_parsers():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_command_takes_only_its_flags():
+    counts = {
+        name: sum(1 for a in p._actions if a.option_strings and a.dest != "help")
+        for name, p in subcommand_parsers().items()
+    }
+    assert counts == {"xi": 11, "optimize": 12, "sweep": 10, "dynamics": 18, "farfield": 16,
+                      "validate": 8}
+    assert sum(counts.values()) == 75
+
+
+def test_readme_cli_block_matches_the_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("gausscollect ")]
+    parsers = subcommand_parsers()
+    assert {argv[0] for argv in examples} == set(parsers)
+    for argv in examples:
+        parse_config(argv)
+    # the table of the flags each command takes
+    cloud = {"--sigma-perp-bar", "--sigma-z-bar", "--sigma-perp-um", "--sigma-z-um",
+             "--wavelength-nm"}
+    common = {"--config", "--out", "--format", "--verbose"}
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE))
+    assert sorted(rows) == sorted(parsers)
+    for name, text in rows.items():
+        documented = set(re.findall(r"--[a-z-]+", text)) | common
+        if "cloud" in text:
+            documented |= cloud
+        taken = {flag for a in parsers[name]._actions for flag in a.option_strings}
+        assert documented == taken - {"-h", "--help"}, name
 
 
 class TestParseConfig:
@@ -90,12 +154,13 @@ class TestParseConfig:
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({
             "sigma-perp-bar": 5.0, "sigma_z_bar": 100.0, "waist_bar": 10.0,
-            "phase": "uniform", "tol": 1e-8,
+            "phase": "uniform",
         }))
         cfg = parse_config(["xi", "--config", str(cfg_file), "--waist-bar", "12"])
         assert cfg.waist_bar == 12.0  # flag wins
         assert cfg.sigma_perp_bar == 5.0
-        assert cfg.tol == 1e-8
+        cfg_file.write_text(json.dumps({"sigma_perp_bar": 5.0, "sigma_z_bar": 100.0, "tol": 1e-8}))
+        assert parse_config(["optimize", "--config", str(cfg_file)]).tol == 1e-8
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -111,17 +176,22 @@ class TestParseConfig:
         assert cfg.grid_z.tolist() == [5.0]
 
     def test_config_file_values_of_every_kind(self, tmp_path):
-        cfg_file = tmp_path / "run.json"
-        cfg_file.write_text(json.dumps({
-            "sigma_perp_bar": 5, "sigma_z_bar": 100.0, "n_atoms": 7, "verbose": False,
-            "format": "json", "pulse": "gaussian", "preset": "fig2a1", "suite": "overlap",
-            "seed": 0, "phase": "gouy", "out": "x.json",
-        }))
-        cfg = parse_config(["optimize", "--config", str(cfg_file)])
+        def parse(command, fields):
+            cfg_file = tmp_path / f"{command}.json"
+            cfg_file.write_text(json.dumps(fields))
+            return parse_config([command, "--config", str(cfg_file)])
+
+        cfg = parse("dynamics", {
+            "sigma_perp_bar": 5, "sigma_z_bar": 100.0, "waist_bar": 14.6, "n_atoms": 7,
+            "verbose": False, "format": "json", "pulse": "gaussian", "phase": "gouy",
+            "out": "x.json",
+        })
         assert cfg.sigma_perp_bar == 5.0 and isinstance(cfg.sigma_perp_bar, float)
         assert (cfg.n_atoms, cfg.verbose, cfg.format, cfg.pulse) == (7, False, "json", "gaussian")
-        assert (cfg.preset, cfg.suite, cfg.seed, cfg.phase) == (
-            "fig2a1", "overlap", 0, GOUY_COMPENSATED)
+        assert cfg.phase == GOUY_COMPENSATED
+        assert parse("sweep", {"preset": "fig2a1"}).preset == "fig2a1"
+        cfg = parse("validate", {"suite": "overlap", "seed": 0})
+        assert (cfg.suite, cfg.seed) == ("overlap", 0)
 
     # each value used to give a traceback, or to be silently misread
     _BAD_CONFIG_VALUES = [
@@ -157,6 +227,18 @@ class TestParseConfig:
         assert (first.phase, first.tol) == (GOUY_COMPENSATED, 1e-3)
         assert (second.phase, second.tol) == (UNIFORM, 1e-6)
 
+    def test_preset_resolves_to_what_it_runs(self, tmp_path, capsys):
+        cfg = parse_config(["sweep", "--preset", "fig2a2"])
+        assert cfg.phase == cfg.resolved["phase"] == GOUY_COMPENSATED
+        assert cfg.resolved["grid_perp"] == _PRESET_AXES[0].tolist()
+        assert cfg.resolved["grid_z"] == _PRESET_AXES[1].tolist()
+        for extra in (["--phase", "gouy"], ["--grid-perp", "1:2:2"], ["--grid-z", "1:2:2"]):
+            assert main(["sweep", "--preset", "fig2a1", *extra]) == EXIT_USAGE
+            assert "--preset fixes" in capsys.readouterr().err
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"phase": "gouy"}))
+        assert main(["sweep", "--preset", "fig2a1", "--config", str(cfg_file)]) == EXIT_USAGE
+
     def test_presets_known(self):
         assert sorted(PRESETS) == [
             "fig2a1", "fig2a2", "fig2a3", "fig2b1", "fig2b2", "fig2b3",
@@ -179,7 +261,8 @@ class TestMainExitCodes:
         assert code == EXIT_USAGE
 
     _USAGE_CASES = [
-        ("xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --n-atoms 0", "must be >= 1"),
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10 --n-atoms 0",
+         "must be >= 1"),
         ("optimize --sigma-perp-bar 5 --sigma-z-bar 100 --n-atoms -3", "must be >= 1"),
         ("sweep --grid-perp 2:5:2 --grid-z 50:100:2 --n-atoms 0", "must be >= 1"),
         ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 0", "must be >= 1"),
@@ -227,6 +310,56 @@ class TestMainExitCodes:
         assert main(["validate", "--suite", "overlap", "--trials", "3", "--tol", "1e-6"]) == EXIT_OK
 
 
+# each command with its inputs, the fields it records besides command,
+# format and verbose, the metadata it adds (None: it writes no table) and
+# a field of another command
+_COMMAND_FIELDS = [
+    ("xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 10",
+     "sigma_perp_bar sigma_z_bar waist_bar phase", "", ("n_atoms", 5)),
+    ("optimize --sigma-perp-bar 2 --sigma-z-bar 10",
+     "sigma_perp_bar sigma_z_bar phase n_atoms tol", "", ("waist_bar", 10.0)),
+    ("sweep --preset fig2a1", "preset phase grid_perp grid_z n_atoms tol", "failed_cells",
+     ("seed", 7)),
+    ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-end 100 --t-steps 50",
+     "sigma_perp_bar sigma_z_bar waist_bar phase n_atoms rabi pulse pulse_center pulse_width "
+     "t_end t_steps", "g_factor n_infinity n_exceeds_single_excitation", ("samples", 100)),
+    ("farfield --sigma-perp-um 1 --sigma-z-um 5 --wavelength-nm 780 --phase gouy --waist-bar 10 "
+     "--samples 500 --n-theta 3", "sigma_perp_bar sigma_z_bar waist_bar phase samples seed "
+     "n_theta theta_max n_phi", "forward_value", ("n_atoms", 5)),
+    ("validate --suite dynamics", "suite trials tol seed", None, ("phase", "gouy")),
+]
+
+
+@pytest.mark.parametrize("argv, fields, extra, foreign", _COMMAND_FIELDS,
+                         ids=[argv.split()[0] for argv, *_ in _COMMAND_FIELDS])
+def test_preamble_records_exactly_the_command_fields(tmp_path, capsys, argv, fields, extra,
+                                                     foreign):
+    argv = argv.split()
+    resolved = parse_config(argv).resolved
+    assert set(resolved) == {"command", "format", "verbose", *fields.split()}
+    given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+    for name in set(resolved) - given - {"command", "phase"}:
+        if _FLAGS[name][1] is not None:  # the others are inputs or resolved from them
+            assert resolved[name] == _FLAGS[name][1], name  # defaults are recorded
+    if extra is not None:
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+            if fmt == "csv":
+                line = next(c for c in read_csv(out)[1] if c.startswith("# config: "))
+                meta = json.loads(line[len("# config: "):])
+            else:
+                meta = json.loads(out.read_text())["metadata"]["config"]
+            assert meta == {**resolved, "format": fmt, **{k: meta[k] for k in extra.split()}}
+    name, value = foreign
+    assert main(argv + ["--" + name.replace("_", "-"), str(value)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg_file = tmp_path / "foreign.json"
+    cfg_file.write_text(json.dumps({name: value}))
+    assert main(argv + ["--config", str(cfg_file)]) == EXIT_USAGE
+    assert f"does not take {name!r}" in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_optimize_pancake_values(self, tmp_path):
         out = tmp_path / "opt.csv"
@@ -272,7 +405,7 @@ class TestOutputs:
     def test_sweep_deterministic_bytes(self, tmp_path):
         args = [
             "sweep", "--grid-perp", "2:5:2", "--grid-z", "50:100:2",
-            "--phase", "uniform", "--seed", "7",
+            "--phase", "uniform",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == EXIT_OK
@@ -317,7 +450,7 @@ class TestOutputs:
         ])
         payload = json.loads(out.read_text())
         assert payload["metadata"]["version"]
-        assert payload["metadata"]["config"]["seed"] == 1234
+        assert payload["metadata"]["config"]["phase"] == UNIFORM  # a default is recorded
         row = payload["rows"][0]
         from gausscollect import CloudGeometry, compute_xi
 
@@ -408,6 +541,16 @@ class TestOutputs:
         _, _, rows = read_csv(out)
         assert rows[0] == ["theta", "phi", "s", "s_stderr"]
         assert float(rows[1][2]) == 1.0  # forward cell
+
+    def test_csv_holds_no_numpy_reprs(self, capsys):
+        for argv in (
+            "sweep --grid-perp 2:5:2 --grid-z 50:100:2 --phase gouy",
+            "dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --pulse gaussian "
+            "--t-end 100 --t-steps 50",
+            "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 500 --n-theta 3 --n-phi 2",
+        ):
+            assert main(argv.split()) == EXIT_OK
+            assert "np." not in capsys.readouterr().out
 
     def test_farfield_compensated_requires_waist(self):
         assert main([

@@ -15,6 +15,7 @@ from gausscollect.ensemble_model import (
 from gausscollect.overlap_engine import compute_xi, geometric_factors, small_cloud_factors
 from gausscollect.waist_optimizer import (
     OptimizationError,
+    check_bracket,
     default_bracket,
     maximize_rows,
     optimal_waist_analytic,
@@ -162,9 +163,12 @@ class TestNumericOptimum:
     def test_bracket_validation(self):
         cloud = CloudGeometry(2.0, 5.0)
         with pytest.raises(ValueError):
-            optimal_waist_numeric(cloud, UNIFORM, bracket=(0.1, 50.0))
+            check_bracket(0.1, 50.0)
         with pytest.raises(ValueError):
-            optimal_waist_numeric(cloud, UNIFORM, bracket=(1.0, 2e4))
+            check_bracket(1.0, 2e4)
+        # sigma_perp = 200 puts the default bracket above the supported waists
+        with pytest.raises(ValueError):
+            optimal_waist_numeric(CloudGeometry(200.0, 10.0), UNIFORM)
         with pytest.raises(ValueError):
             optimal_waist_numeric(cloud, UNIFORM, tol=-1.0)
         with pytest.raises(ValueError):
