@@ -86,7 +86,8 @@ _FLAGS = {
     "n_phi": (int, 1),
 }
 
-# the cloud in either description, and the output fields every command takes
+# the cloud in either description, and the output fields of the commands
+# that write a table
 _PHYSICAL = ("sigma_perp_um", "sigma_z_um", "wavelength_nm")
 _CLOUD = ("sigma_perp_bar", "sigma_z_bar", *_PHYSICAL)
 _OUTPUT = ("out", "format", "verbose")
@@ -116,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, _, fields, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        p.set_defaults(subparser=p)
         p.add_argument("--config", help="JSON file mirroring the flag names")
-        for name in fields + _OUTPUT:
+        for name in fields:
             kind = _FLAGS[name][0]
             flag = "--" + name.replace("_", "-")
             if kind is bool:
@@ -170,10 +172,12 @@ def parse_config(argv) -> argparse.Namespace:
     Exactly one of the physical (micrometer + wavelength) and
     dimensionless cloud descriptions may be supplied.
     """
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        # the command's own usage line lists the flags it does take
+        args.subparser.error("unrecognized arguments: " + " ".join(unknown))
     command = args.command
-    _, _, reads, required = _COMMANDS[command]
-    fields = reads + _OUTPUT
+    _, _, fields, required = _COMMANDS[command]
     values: dict = {}
     if args.config:
         try:
@@ -256,7 +260,7 @@ def _validate_command_inputs(config: argparse.Namespace, required):
         if config.phase != UNIFORM and config.waist_bar is None:
             raise ConfigError("farfield: missing required field waist_bar "
                               "(compensated phases reference the collection beam)")
-    if config.out is not None:
+    if fields.get("out") is not None:
         _check_out_path(config.out)
     if cmd == "dynamics":
         _dynamics_drive(config)
@@ -462,24 +466,24 @@ def _cmd_validate(config: argparse.Namespace) -> int:
 
 _CLOUD_REQUIRED = ("sigma_perp_bar", "sigma_z_bar")
 
-# command: help text, handler, the fields it reads besides _OUTPUT, the
-# fields it requires
+# command: help text, handler, the fields it reads, the fields it requires;
+# validate prints a text report and so takes no --out or --format
 _COMMANDS = {
     "xi": ("overlap of the phased emission with one Gaussian mode", _cmd_xi,
-           (*_CLOUD, "waist_bar", "phase"), (*_CLOUD_REQUIRED, "waist_bar")),
+           (*_CLOUD, "waist_bar", "phase", *_OUTPUT), (*_CLOUD_REQUIRED, "waist_bar")),
     "optimize": ("waist maximizing the collection efficiency for one cloud", _cmd_optimize,
-                 (*_CLOUD, "phase", "n_atoms", "tol"), _CLOUD_REQUIRED),
+                 (*_CLOUD, "phase", "n_atoms", "tol", *_OUTPUT), _CLOUD_REQUIRED),
     "sweep": ("optimal waist and efficiency on a cloud-geometry grid", _cmd_sweep,
-              ("phase", "n_atoms", "tol", "grid_perp", "grid_z", "preset"), ()),
+              ("phase", "n_atoms", "tol", "grid_perp", "grid_z", "preset", *_OUTPUT), ()),
     "dynamics": ("emission envelope and collected photon number vs time", _cmd_dynamics,
                  (*_CLOUD, "waist_bar", "phase", "n_atoms", "rabi", "pulse", "pulse_center",
-                  "pulse_width", "t_end", "t_steps"),
+                  "pulse_width", "t_end", "t_steps", *_OUTPUT),
                  (*_CLOUD_REQUIRED, "waist_bar")),
     "farfield": ("Monte-Carlo angular emission pattern", _cmd_farfield,
                  (*_CLOUD, "waist_bar", "phase", "samples", "seed", "n_theta", "theta_max",
-                  "n_phi"), _CLOUD_REQUIRED),
+                  "n_phi", *_OUTPUT), _CLOUD_REQUIRED),
     "validate": ("cross-check closed forms against independent oracles", _cmd_validate,
-                 ("suite", "trials", "tol", "seed"), ()),
+                 ("suite", "trials", "tol", "seed", "verbose"), ()),
 }
 
 
