@@ -18,7 +18,7 @@ from .overlap_engine import (
     small_cloud_factors,
     xi_brute_force,
 )
-from .special_math import QuadratureError, QuadratureRule, gauss_hermite, integrate_adaptive
+from .special_math import QuadratureError
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,4 @@ __all__ = [
     "small_cloud_factors",
     "xi_brute_force",
     "QuadratureError",
-    "QuadratureRule",
-    "gauss_hermite",
-    "integrate_adaptive",
 ]

@@ -36,12 +36,11 @@ from .ensemble_model import (
     make_profile,
 )
 from .far_field import direction_grid, structure_factor
-from .overlap_engine import compute_xi
+from .overlap_engine import check_waists, compute_xi
 from .special_math import QuadratureError
 from .validation import run_suite
 from .waist_optimizer import (
     OptimizationError,
-    check_bracket,
     default_bracket,
     optimal_waist_numeric,
     sweep,
@@ -250,6 +249,15 @@ def _validate_command_inputs(config: argparse.Namespace, required):
     for name in required:
         if fields[name] is None:
             raise ConfigError(f"{cmd}: missing required field {name}")
+    # the model squares the cloud width
+    sp = fields.get("sigma_perp_bar")
+    if sp is not None and math.isinf(sp * sp):
+        raise ConfigError(f"{cmd}: sigma_perp_bar {sp} is too large: its square overflows")
+    if fields.get("waist_bar") is not None:
+        try:
+            check_waists(config.waist_bar)
+        except ValueError as exc:
+            raise ConfigError(f"{cmd}: {exc}") from exc
     if cmd == "sweep":
         for name in ("grid_perp", "grid_z"):
             if fields[name] is None:
@@ -267,7 +275,7 @@ def _validate_command_inputs(config: argparse.Namespace, required):
     elif cmd == "optimize":
         cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
         try:
-            check_bracket(*default_bracket(cloud))
+            default_bracket(cloud)
         except ValueError as exc:
             raise ConfigError(
                 f"optimize: sigma_perp_bar {config.sigma_perp_bar} puts the waist search {exc}"
@@ -402,11 +410,9 @@ def _cmd_optimize(config: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(config: argparse.Namespace) -> int:
-    grid = sweep(config.grid_perp, config.grid_z, config.phase, config.tol,
-                 n_atoms=config.n_atoms)
     rows = [
         _optimum_row(record, config.n_atoms)
-        for row in grid.records
+        for row in sweep(config.grid_perp, config.grid_z, config.phase, config.tol)
         for record in row
     ]
     # "edge" cells carry a value and do not count as failures

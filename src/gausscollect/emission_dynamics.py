@@ -57,6 +57,11 @@ class PulseShape:
             raise ValueError("pulse amplitude must be non-negative")
         if self.variant == "gaussian_pulse" and self.width <= 0.0:
             raise ValueError("gaussian pulse width must be positive")
+        # the pump integral scales as amplitude^2, times the width of a Gaussian pulse
+        span = self.width if self.variant == "gaussian_pulse" else 1.0
+        if math.isinf(self.amplitude * self.amplitude * span):
+            raise ValueError(f"pulse amplitude {self.amplitude} is too large: "
+                             "its pump integral overflows")
         if self.variant == "sampled":
             if self.samples is None:
                 raise ValueError("sampled pulse needs (times, values)")

@@ -38,7 +38,9 @@ the closed-form optimal waist.  All functions are pure.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +59,7 @@ from .special_math import QuadratureError, gauss_hermite, integrate_adaptive
 
 __all__ = [
     "OverlapResult",
+    "check_waists",
     "geometric_factor",
     "geometric_factors",
     "uniform_factors",
@@ -101,6 +104,8 @@ class OverlapResult:
     @classmethod
     def from_xi(cls, xi: complex, w0_bar: float, method: str) -> "OverlapResult":
         xi = complex(xi)
+        if not cmath.isfinite(xi):
+            raise QuadratureError(f"non-finite overlap {xi!r} at w0_bar = {w0_bar!r}", value=xi)
         xi_abs_sq = abs(xi) ** 2
         _check_normalized(xi_abs_sq)
         return cls(xi, xi_abs_sq, geometric_factor(xi_abs_sq, w0_bar), method, w0_bar)
@@ -113,8 +118,7 @@ def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
     by the focal cross-section of the beam, written in wavenumber-scaled
     units where both areas are dimensionless.
     """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
+    check_waists(w0_bar)
     if xi_abs_sq < 0.0:
         raise ValueError(f"xi_abs_sq must be non-negative, got {xi_abs_sq!r}")
     return 6.0 * xi_abs_sq / (w0_bar * w0_bar)
@@ -126,6 +130,8 @@ def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
 
 def _graded_edges(h0: float, limit: float, ratio: float = 1.6) -> list[float]:
     """Symmetric breakpoints growing geometrically from the origin to +-limit."""
+    if not h0 > 0.0:
+        raise ValueError(f"the first breakpoint must be positive, got {h0!r}")
     pts = [0.0, limit]
     x = h0
     while x < limit:
@@ -195,6 +201,18 @@ def _uniform_xi(zeta, sp_sq, sz):
     return -1j * zeta / pole * (_SQRT_PI * x * erfcx(x))
 
 
+def check_waists(w0_bars) -> None:
+    """Raise ``ValueError`` unless every waist of ``w0_bars`` is positive
+    with a Rayleigh length ``w0^2 / 2`` of at least the smallest normal
+    float (the axial rule's first panel is a quarter of it)."""
+    # the Rayleigh length grows with the waist, so the smallest one decides
+    w0 = float(np.asarray(w0_bars, dtype=float).min())
+    if not w0 > 0.0:
+        raise ValueError(f"w0_bar must be positive, got {w0!r}")
+    if 0.5 * w0 * w0 < sys.float_info.min:
+        raise ValueError(f"waist {w0!r} is too small: its Rayleigh length w0^2 / 2 underflows")
+
+
 def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
     """``xi`` at every waist of the 1-d array ``w0``, and the mask of the
     waists evaluated by the axial rule (the others are closed forms).
@@ -207,8 +225,7 @@ def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
         raise ValueError(f"unknown phase variant {variant!r}")
     if w0.ndim != 1:
         raise ValueError("waists must form a 1-d array")
-    if not (w0 > 0.0).all():
-        raise ValueError(f"w0_bar must be positive, got {float(w0[~(w0 > 0.0)][0])!r}")
+    check_waists(w0)
     sp_sq, sz = cloud.sigma_perp_bar ** 2, cloud.sigma_z_bar
     zeta = 0.5 * w0 * w0
     pole = zeta + sp_sq
@@ -348,8 +365,7 @@ def xi_gouy_compensated_curvature_form(
     agree to quadrature accuracy and are cross-checked in the test
     suite.
     """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
+    check_waists(w0_bar)
     sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
     if sz == 0.0:
         raise ValueError("xi_gouy_compensated_curvature_form needs sigma_z_bar > 0")
@@ -423,10 +439,14 @@ def xi_brute_force(
     dense enough to track the mode's transverse phase.  Successively
     refined meshes must agree to ``target`` before a value is accepted;
     this function is the accuracy oracle for every closed form and
-    one-dimensional quadrature in this module.
+    one-dimensional quadrature in this module.  A compensated
+    ``profile`` must reference the beam of waist ``w0_bar``.
     """
-    if w0_bar <= 0.0:
-        raise ValueError(f"w0_bar must be positive, got {w0_bar!r}")
+    check_waists(w0_bar)
+    beam = profile.reference_beam
+    if beam is not None and beam.w0_bar != w0_bar:
+        raise ValueError(
+            f"profile is matched to waist {beam.w0_bar!r}, not to w0_bar = {w0_bar!r}")
     sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
     if sz == 0.0:
         raise ValueError("xi_brute_force needs sigma_z_bar > 0")

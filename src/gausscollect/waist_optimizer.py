@@ -37,13 +37,11 @@ from .overlap_engine import (  # noqa: F401
 __all__ = [
     "OptimizationError",
     "OptimumRecord",
-    "SweepGrid",
     "maximize_rows",
     "optimal_waist_analytic",
     "optimal_waist_numeric",
     "optimal_waists",
     "default_bracket",
-    "check_bracket",
     "sweep",
 ]
 
@@ -67,36 +65,6 @@ class OptimumRecord:
     cloud: CloudGeometry
     method: str
     status: str = "ok"
-
-
-def _check_axes(sp: np.ndarray, sz: np.ndarray) -> None:
-    if sp.size == 0 or sz.size == 0:
-        raise ValueError("sweep axes must be non-empty")
-    if np.any(sp <= 0) or np.any(sz <= 0):
-        raise ValueError("sweep axes must be positive")
-    if np.any(np.diff(sp) <= 0) or np.any(np.diff(sz) <= 0):
-        raise ValueError("sweep axes must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Optima on a (sigma_perp x sigma_z) grid, row-major in sigma_perp."""
-
-    sigma_perp_values: np.ndarray
-    sigma_z_values: np.ndarray
-    profile: str
-    records: list
-
-    def __post_init__(self):
-        sp = np.asarray(self.sigma_perp_values, dtype=float)
-        sz = np.asarray(self.sigma_z_values, dtype=float)
-        _check_axes(sp, sz)
-        if len(self.records) != sp.size or any(len(r) != sz.size for r in self.records):
-            raise ValueError("records matrix must match the axis lengths")
-        sp.setflags(write=False)
-        sz.setflags(write=False)
-        object.__setattr__(self, "sigma_perp_values", sp)
-        object.__setattr__(self, "sigma_z_values", sz)
 
 
 def _evaluate(f, W, cells, errors):
@@ -196,15 +164,15 @@ def maximize_rows(f, lo, hi, *, tol: float = 1e-6):
 
 
 def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
-    """Waist search interval spanning the pancake and long-cloud optima."""
+    """Waist search interval spanning the pancake and long-cloud optima.
+
+    Raises ``ValueError`` when it leaves the supported waists [0.5, 1e4].
+    """
     base = math.sqrt(2.0) * cloud.sigma_perp_bar
-    return max(0.5, 0.2 * base), 50.0 * base
-
-
-def check_bracket(lo: float, hi: float):
-    """Raise ``ValueError`` unless ``[lo, hi]`` lies in the supported waists [0.5, 1e4]."""
+    lo, hi = max(0.5, 0.2 * base), 50.0 * base
     if not (0.5 <= lo < hi <= 1e4):
         raise ValueError(f"bracket [{lo}, {hi}] outside the supported [0.5, 1e4]")
+    return lo, hi
 
 
 def optimal_waist_analytic(cloud: CloudGeometry) -> OptimumRecord:
@@ -266,23 +234,48 @@ def _efficiency(clouds, profile: str):
     )
 
 
-def _record(cloud: CloudGeometry, profile: str, w, g, status: str) -> OptimumRecord:
-    w, g = float(w), float(g)
-    return OptimumRecord(
-        w0_max_bar=w,
-        g_max=g,
-        xi_abs_sq_at_max=g * w * w / 6.0,
-        profile=profile,
-        cloud=cloud,
-        method="numeric",
-        status=status,
-    )
-
-
 def _status(on_edge: bool, exc: Exception | None) -> str:
     if exc is not None:
         return f"failed: {type(exc).__name__}"
     return "edge" if on_edge else "ok"
+
+
+def _optima(clouds, profile: str, tol: float, objective=None):
+    """Numeric optimum of every cloud of ``clouds``, and per cloud ``None``
+    or the exception that failed it.
+
+    Each cloud is searched over its :func:`default_bracket` by one
+    :func:`maximize_rows` run; a cloud whose bracket is unsupported, or
+    whose row fails, gets a NaN record with a ``"failed: "`` status.
+    ``objective`` replaces the efficiency by a function of the waist
+    array (one cloud only).
+    """
+    _check_profile_tol(profile, tol)
+    n = len(clouds)
+    x, g = np.full(n, math.nan), np.full(n, math.nan)
+    on_edge, errors = np.zeros(n, dtype=bool), [None] * n
+    batch, brackets = [], []
+    for i, cloud in enumerate(clouds):
+        try:
+            brackets.append(default_bracket(cloud))
+        except ValueError as exc:
+            errors[i] = exc
+        else:
+            batch.append(i)
+    if batch:
+        f = (_efficiency([clouds[i] for i in batch], profile) if objective is None
+             else lambda W, cells: objective(W))
+        lo, hi = np.array(brackets).T
+        x[batch], g[batch], on_edge[batch], row_errors = maximize_rows(f, lo, hi, tol=tol)
+        for i, exc in zip(batch, row_errors):
+            errors[i] = exc
+    x, g = x.tolist(), g.tolist()
+    records = [
+        OptimumRecord(x[i], g[i], g[i] * x[i] * x[i] / 6.0, profile, cloud, "numeric",
+                      _status(on_edge[i], errors[i]))
+        for i, cloud in enumerate(clouds)
+    ]
+    return records, errors
 
 
 def optimal_waist_numeric(
@@ -303,72 +296,44 @@ def optimal_waist_numeric(
     machinery.  The record's ``status`` is ``"edge"`` when the scan's
     maximum is the bracket's first or last waist, ``"ok"`` otherwise.
     """
-    _check_profile_tol(profile, tol)
-    lo, hi = default_bracket(cloud)
-    check_bracket(lo, hi)
-    if objective is None:
-        f = _efficiency([cloud], profile)
-    else:
-        def f(W, cells):
-            return objective(W)
-    x, g, on_edge, (exc,) = maximize_rows(f, [lo], [hi], tol=tol)
+    (record,), (exc,) = _optima([cloud], profile, tol, objective)
     if exc is not None:
         raise exc
-    return _record(cloud, profile, x[0], g[0], _status(on_edge[0], None))
+    return record
 
 
-def optimal_waists(clouds, profile: str, tol: float = 1e-6) -> list:
+def optimal_waists(clouds, profile: str, tol: float = 1e-6) -> list[OptimumRecord]:
     """Optimal waist of every cloud of ``clouds``, found together.
 
-    Each cloud is searched over its :func:`default_bracket` by one
-    :func:`maximize_rows` run, so every scan and refinement round is one
-    objective call for all cells.  A cell that fails is recorded with a
-    ``status`` of ``"failed: "`` and the exception's name, and the other
-    cells carry on: ``ValueError`` for a bracket outside the supported
-    waists or the ``|xi|^2 <= 1`` guard, ``OptimizationError`` for a
-    flat or non-finite objective.
+    Every scan and refinement round is one objective call for all cells.
+    A cell that fails is recorded with a ``status`` of ``"failed: "``
+    and the exception's name, and the other cells carry on:
+    ``ValueError`` for a bracket outside the supported waists or the
+    ``|xi|^2 <= 1`` guard, ``OptimizationError`` for a flat or
+    non-finite objective.
     """
-    _check_profile_tol(profile, tol)
-    records, batch, brackets = [None] * len(clouds), [], []
-    for i, cloud in enumerate(clouds):
-        bracket = default_bracket(cloud)
-        try:
-            check_bracket(*bracket)
-        except ValueError as exc:
-            records[i] = _record(cloud, profile, math.nan, math.nan, _status(False, exc))
-        else:
-            batch.append(i)
-            brackets.append(bracket)
-    if batch:
-        cells = [clouds[i] for i in batch]
-        lo, hi = np.array(brackets).T
-        x, g, on_edge, errors = maximize_rows(_efficiency(cells, profile), lo, hi, tol=tol)
-        for r, i in enumerate(batch):
-            records[i] = _record(clouds[i], profile, x[r], g[r], _status(on_edge[r], errors[r]))
-    return records
+    return _optima(clouds, profile, tol)[0]
 
 
-def sweep(
-    sigma_perp_values,
-    sigma_z_values,
-    profile: str,
-    tol: float = 1e-6,
-    *,
-    n_atoms: int = 1000,
-) -> SweepGrid:
+def sweep(sigma_perp_values, sigma_z_values, profile: str,
+          tol: float = 1e-6) -> list[list[OptimumRecord]]:
     """Optimize the waist on every cell of a cloud-geometry grid.
 
-    The axes, phase variant and tolerance are checked once, before any
-    cell runs.  The cells of each ``sigma_perp`` row are optimized
-    together by :func:`optimal_waists`; a cell that fails is recorded
-    with a ``status`` tag instead of aborting the sweep.
+    Returns the rows of records, row-major in ``sigma_perp``.  Bad axes,
+    phase variant or tolerance raise before any cell runs (the last two
+    on the first row).  The cells of each ``sigma_perp`` row are
+    optimized together by :func:`optimal_waists`; a cell that fails is
+    recorded with a ``status`` tag instead of aborting the sweep.
     """
     sp_values = np.asarray(sigma_perp_values, dtype=float)
     sz_values = np.asarray(sigma_z_values, dtype=float)
-    _check_axes(sp_values, sz_values)
-    _check_profile_tol(profile, tol)
-    records = [
-        optimal_waists([CloudGeometry(sp, sz, n_atoms) for sz in sz_values], profile, tol)
+    if sp_values.size == 0 or sz_values.size == 0:
+        raise ValueError("sweep axes must be non-empty")
+    if np.any(sp_values <= 0) or np.any(sz_values <= 0):
+        raise ValueError("sweep axes must be positive")
+    if np.any(np.diff(sp_values) <= 0) or np.any(np.diff(sz_values) <= 0):
+        raise ValueError("sweep axes must be strictly increasing")
+    return [
+        optimal_waists([CloudGeometry(sp, sz) for sz in sz_values], profile, tol)
         for sp in sp_values
     ]
-    return SweepGrid(sp_values, sz_values, profile, records)

@@ -295,6 +295,21 @@ class TestMainExitCodes:
         ("xi --sigma-perp-bar 5 --sigma-z-bar inf --waist-bar 10", "must be finite"),
         ("xi --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar inf", "must be finite"),
         ("validate --suite optimum --tol inf", "must be finite"),
+        # a cloud width whose square overflows, a drive whose pump integral
+        # overflows, a waist whose Rayleigh length w0^2 / 2 underflows
+        ("xi --sigma-perp-bar 1e200 --sigma-z-bar 1 --waist-bar 3", "square overflows"),
+        ("xi --sigma-perp-um 1 --sigma-z-um 1 --wavelength-nm 1e-300 --waist-bar 3",
+         "square overflows"),
+        ("dynamics --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 3 --rabi 1e200",
+         "pump integral overflows"),
+        ("dynamics --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 3 --rabi 1e154 "
+         "--pulse gaussian", "pump integral overflows"),
+        ("xi --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e-200 --phase gouy",
+         "Rayleigh length w0^2 / 2 underflows"),
+        ("dynamics --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e-200 --phase full",
+         "Rayleigh length w0^2 / 2 underflows"),
+        ("farfield --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e-154 --phase gouy",
+         "Rayleigh length w0^2 / 2 underflows"),
     ]
 
     @pytest.mark.parametrize("argv, message", _USAGE_CASES,
@@ -302,6 +317,18 @@ class TestMainExitCodes:
     def test_nonpositive_count_is_usage_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "xi --sigma-perp-bar 1 --sigma-z-bar 1e300 --waist-bar 3 --phase gouy",
+        "xi --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e200 --phase gouy",
+        "dynamics --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e200 --t-steps 3",
+    ])
+    def test_non_finite_overlap_is_numerical_failure(self, capsys, argv):
+        with np.errstate(all="ignore"):
+            assert main(argv.split()) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "numerical failure: non-finite overlap" in captured.err
+        assert captured.out == ""
 
     def test_validate_exits_zero(self, capsys):
         assert main(["validate", "--suite", "dynamics"]) == EXIT_OK

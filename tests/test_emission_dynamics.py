@@ -40,6 +40,16 @@ class TestPulseShape:
         with pytest.raises(ValueError):
             PulseShape("chirped", 0.1)
 
+    def test_rejects_overflowing_pump_integral(self):
+        # amplitude^2 (times the width of a Gaussian pulse) would overflow
+        # into an infinite or NaN pump integral
+        with pytest.raises(ValueError, match="too large"):
+            PulseShape.constant(1e200)
+        with pytest.raises(ValueError, match="too large"):
+            PulseShape.gaussian(1e154, 50.0, 10.0)
+        pump = PulseShape.constant(1e154).pump_integral(np.array([0.0, 1.0]))
+        assert np.isfinite(pump).all()
+
     def test_strong_drive_warns(self):
         with pytest.warns(UserWarning):
             PulseShape.constant(0.5)

@@ -20,9 +20,11 @@ from gausscollect.overlap_engine import (
     geometric_factor,
     geometric_factors,
     small_cloud_factors,
+    _graded_edges,
     xi_brute_force,
     xi_gouy_compensated_curvature_form,
 )
+from gausscollect.special_math import QuadratureError
 from gausscollect.validation import sample_overlap_triples
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 
@@ -157,6 +159,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             xi_brute_force(CloudGeometry(1.0, 0.0), 3.0, PhaseProfile.uniform())
 
+    def test_rejects_profile_of_another_waist(self):
+        cloud = CloudGeometry(3.0, 20.0)
+        with pytest.raises(ValueError, match="matched to waist 8.0"):
+            xi_brute_force(cloud, 6.0, make_profile(GOUY_COMPENSATED, 8.0))
+
 
 class TestInvariantsAndDispatch:
     def test_profiles_coincide_for_short_clouds(self):
@@ -201,6 +208,20 @@ class TestInvariantsAndDispatch:
     def test_from_xi_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             OverlapResult.from_xi(1.5 + 0.0j, 3.0, "closed_form")
+
+    @pytest.mark.parametrize("xi", [complex(math.nan, 0.0), complex(0.0, -math.inf)])
+    def test_from_xi_rejects_non_finite(self, xi):
+        with pytest.raises(QuadratureError, match="non-finite overlap"):
+            OverlapResult.from_xi(xi, 3.0, "quadrature")
+
+    @pytest.mark.parametrize("sp, sz, w0", [
+        (1.0, 1e300, 3.0),  # z * z overflows on the axial rule
+        (1.0, 1.0, 1e200),  # zR / (zR + sp^2) is inf / inf
+    ])
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_overflowing_overlap_raises(self, sp, sz, w0, variant):
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="non-finite"):
+            compute_xi(CloudGeometry(sp, sz), w0, variant)
 
 
 VARIANTS = (UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN)
@@ -253,6 +274,26 @@ class TestBatchedKernel:
             geometric_factors(cloud, [3.0, 0.0], GOUY_COMPENSATED)
         with pytest.raises(ValueError, match="phase variant"):
             geometric_factors(cloud, [3.0], "bespoke")
+
+    @pytest.mark.parametrize("w0", [1e-200, 2.3e-162, 1e-154])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rejects_waists_whose_rayleigh_length_underflows(self, w0, variant):
+        # the axial rule's first panel is a quarter of the Rayleigh length
+        cloud = CloudGeometry(1.0, 1.0)
+        with pytest.raises(ValueError, match="Rayleigh length"):
+            compute_xi(cloud, w0, variant)
+        with pytest.raises(ValueError, match="Rayleigh length"):
+            geometric_factors(cloud, [3.0, w0], variant)
+
+    def test_oracles_reject_a_vanishing_rayleigh_length(self):
+        cloud = CloudGeometry(1.0, 1.0)
+        with pytest.raises(ValueError, match="first breakpoint"):
+            _graded_edges(0.0, 1.0)
+        with pytest.raises(ValueError, match="Rayleigh length"):
+            xi_gouy_compensated_curvature_form(cloud, 1e-200)
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match="Rayleigh length"):
+                xi_brute_force(cloud, 1e-200, make_profile(variant, 1e-200))
 
 
 # the fig2 preset box, log-uniform: sigma_perp in [1, 50], sigma_z in [1, 1000]

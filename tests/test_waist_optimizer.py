@@ -15,7 +15,6 @@ from gausscollect.ensemble_model import (
 from gausscollect.overlap_engine import compute_xi, geometric_factors, small_cloud_factors
 from gausscollect.waist_optimizer import (
     OptimizationError,
-    check_bracket,
     default_bracket,
     maximize_rows,
     optimal_waist_analytic,
@@ -162,13 +161,13 @@ class TestNumericOptimum:
 
     def test_bracket_validation(self):
         cloud = CloudGeometry(2.0, 5.0)
-        with pytest.raises(ValueError):
-            check_bracket(0.1, 50.0)
-        with pytest.raises(ValueError):
-            check_bracket(1.0, 2e4)
-        # sigma_perp = 200 puts the default bracket above the supported waists
-        with pytest.raises(ValueError):
-            optimal_waist_numeric(CloudGeometry(200.0, 10.0), UNIFORM)
+        # sigma_perp = 200 puts the default bracket above the supported
+        # waists, sigma_perp = 0.005 makes it empty
+        for sp in (200.0, 0.005):
+            with pytest.raises(ValueError, match="outside the supported"):
+                default_bracket(CloudGeometry(sp, 10.0))
+            with pytest.raises(ValueError, match="outside the supported"):
+                optimal_waist_numeric(CloudGeometry(sp, 10.0), UNIFORM)
         with pytest.raises(ValueError):
             optimal_waist_numeric(cloud, UNIFORM, tol=-1.0)
         with pytest.raises(ValueError):
@@ -188,7 +187,7 @@ class TestNumericOptimum:
         tol = 1e-6
         grid = preset_grid(variant, stride)
         worst_w, worst_g, status_diffs = 0.0, 0.0, []
-        for rec in (rec for row in grid.records for rec in row):
+        for rec in (rec for row in grid for rec in row):
             w_ref, g_ref, status_ref = brent_reference(rec.cloud, variant, tol)
             worst_w = max(worst_w, abs(rec.w0_max_bar - w_ref) / w_ref)
             worst_g = max(worst_g, (g_ref - rec.g_max) / g_ref)
@@ -202,7 +201,7 @@ class TestNumericOptimum:
         grid = preset_grid(UNIFORM, 1)
         diffs = [
             (rec.cloud, rec.w0_max_bar, rec.g_max, rec.status, ref)
-            for row in grid.records for rec in row
+            for row in grid for rec in row
             if (rec.w0_max_bar, rec.g_max, rec.status)
             != (ref := per_cell_reference(rec.cloud, UNIFORM, 1e-6))
         ]
@@ -212,7 +211,7 @@ class TestNumericOptimum:
     def test_compensated_rows_match_per_cell_maximizer(self, variant):
         tol = 1e-6
         worst_w, worst_g, status_diffs = 0.0, 0.0, []
-        for rec in (rec for row in preset_grid(variant, 3).records for rec in row):
+        for rec in (rec for row in preset_grid(variant, 3) for rec in row):
             w_ref, g_ref, status_ref = per_cell_reference(rec.cloud, variant, tol)
             worst_w = max(worst_w, abs(rec.w0_max_bar - w_ref) / w_ref)
             worst_g = max(worst_g, (g_ref - rec.g_max) / g_ref)
@@ -232,7 +231,7 @@ class TestNumericOptimum:
         # by < 1% there, matching the brute-force overlap), so for it
         # only the ends must lie below the optimum
         not_falling, above_optimum = [], []
-        for rec in (rec for row in preset_grid(variant, stride).records for rec in row):
+        for rec in (rec for row in preset_grid(variant, stride) for rec in row):
             assert rec.status == "ok"
             lo, hi = default_bracket(rec.cloud)
             w = rec.w0_max_bar
@@ -311,9 +310,8 @@ class TestMaximizeRows:
 
 class TestSweep:
     def test_single_cell_matches_direct_call(self):
-        grid = sweep([5.0], [100.0], UNIFORM, 1e-6, n_atoms=17)
-        direct = optimal_waist_numeric(CloudGeometry(5.0, 100.0, 17), UNIFORM, tol=1e-6)
-        cell = grid.records[0][0]
+        ((cell,),) = sweep([5.0], [100.0], UNIFORM, 1e-6)
+        direct = optimal_waist_numeric(CloudGeometry(5.0, 100.0), UNIFORM, tol=1e-6)
         assert cell.w0_max_bar == direct.w0_max_bar
         assert cell.g_max == direct.g_max
         assert cell.cloud == direct.cloud
@@ -323,20 +321,20 @@ class TestSweep:
         sz = [50.0, 100.0, 200.0]
         a = sweep(sp, sz, GOUY_COMPENSATED, 1e-6)
         b = sweep(sp, sz, GOUY_COMPENSATED, 1e-6)
-        for row_a, row_b in zip(a.records, b.records):
+        for row_a, row_b in zip(a, b):
             for ra, rb in zip(row_a, row_b):
                 assert ra.w0_max_bar == rb.w0_max_bar
                 assert ra.g_max == rb.g_max
 
     def test_narrow_short_corner_collects_well(self):
         # N * G of a few and above in the narrow/short corner
-        grid = sweep([5.0, 10.0], [100.0, 200.0], UNIFORM, 1e-6, n_atoms=1000)
-        best = grid.records[0][0]  # sigma_perp 5, sigma_z 100
+        grid = sweep([5.0, 10.0], [100.0, 200.0], UNIFORM, 1e-6)
+        best = grid[0][0]  # sigma_perp 5, sigma_z 100
         assert 1000.0 * best.g_max >= 5.0
 
     def test_gouy_extends_collection_to_longer_clouds(self):
-        grid = sweep([5.0], [300.0], GOUY_COMPENSATED, 1e-6, n_atoms=1000)
-        assert 1000.0 * grid.records[0][0].g_max >= 5.0
+        grid = sweep([5.0], [300.0], GOUY_COMPENSATED, 1e-6)
+        assert 1000.0 * grid[0][0].g_max >= 5.0
 
     @pytest.mark.parametrize("variant", [UNIFORM, GOUY_COMPENSATED])
     @pytest.mark.parametrize("fault, error", [
@@ -361,7 +359,7 @@ class TestSweep:
                 return (fault(xi) if cloud.sigma_z_bar == 100.0 else xi), quad
             monkeypatch.setattr(engine, "_xi_kernel", faulty)
         grid = sweep(sp, sz, variant, 1e-6)
-        for row, clean_row in zip(grid.records, clean.records):
+        for row, clean_row in zip(grid, clean):
             bad = row[1]
             assert bad.status == f"failed: {error}"
             assert math.isnan(bad.g_max) and math.isnan(bad.w0_max_bar)
@@ -379,8 +377,8 @@ class TestSweep:
             assert rec == optimal_waist_numeric(cloud, UNIFORM)
             assert rec.status == "ok"
         grid = sweep([5.0, 150.0], [100.0, 200.0], UNIFORM, 1e-6)
-        assert [r.status for r in grid.records[0]] == ["ok", "ok"]
-        assert [r.status for r in grid.records[1]] == ["failed: ValueError"] * 2
+        assert [r.status for r in grid[0]] == ["ok", "ok"]
+        assert [r.status for r in grid[1]] == ["failed: ValueError"] * 2
 
     def test_sweep_arguments_raise_before_any_cell(self, monkeypatch):
         import gausscollect.waist_optimizer as mod
