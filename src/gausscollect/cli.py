@@ -265,6 +265,8 @@ def _validate_command_inputs(config: argparse.Namespace, required):
     elif cmd == "farfield":
         if config.sigma_z_bar == 0.0:
             raise ConfigError("farfield: sigma_z_bar must be positive")
+        if not 0.0 < config.theta_max <= math.pi:
+            raise ConfigError(f"farfield: theta_max must lie in (0, pi], got {config.theta_max}")
         if config.phase != UNIFORM and config.waist_bar is None:
             raise ConfigError("farfield: missing required field waist_bar "
                               "(compensated phases reference the collection beam)")
@@ -277,9 +279,7 @@ def _validate_command_inputs(config: argparse.Namespace, required):
         try:
             default_bracket(cloud)
         except ValueError as exc:
-            raise ConfigError(
-                f"optimize: sigma_perp_bar {config.sigma_perp_bar} puts the waist search {exc}"
-            ) from exc
+            raise ConfigError(f"optimize: sigma_perp_bar {config.sigma_perp_bar}: {exc}") from exc
 
 
 def _check_out_path(path: str):

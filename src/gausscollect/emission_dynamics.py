@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble_model import CloudGeometry
-from .overlap_engine import OverlapResult, compute_xi
+from .overlap_engine import compute_xi
 
 __all__ = [
     "PulseShape",
@@ -152,8 +152,6 @@ class EmissionCurve:
     big_b: np.ndarray
     n: np.ndarray | None = None
     g_factor: float | None = None
-    n_atoms: int | None = None
-    overlap: OverlapResult | None = None
 
 
 def check_time_grid(t_grid) -> np.ndarray:
@@ -277,8 +275,6 @@ def photon_number(
         big_b=curve.big_b,
         n=n,
         g_factor=overlap.geometric_factor,
-        n_atoms=cloud.n_atoms,
-        overlap=overlap,
     )
 
 

@@ -28,10 +28,10 @@ Evaluation routes:
   by Gauss-Hermite with an adaptive QUADPACK fallback (both from
   scipy), which the tests cross-check against the production form.
 
-:func:`geometric_factors` evaluates a whole array of waists in one numpy
-pass on one shared axial mesh; :func:`compute_xi` is its one-waist case
-and :func:`uniform_factors` the uniform closed form for many clouds at
-once.
+:func:`geometric_factors` is the one batched entry, over a matrix of
+cells x waists for every phase variant: the uniform phase in one erfcx
+pass, each compensated cell on one axial mesh shared by its waists;
+:func:`compute_xi` is its one-cell, one-waist case.
 :func:`small_cloud_factors` is the flat-front small-cloud model behind
 the closed-form optimal waist.  All functions are pure.
 """
@@ -62,7 +62,6 @@ __all__ = [
     "check_waists",
     "geometric_factor",
     "geometric_factors",
-    "uniform_factors",
     "small_cloud_factors",
     "xi_gouy_compensated_curvature_form",
     "xi_brute_force",
@@ -213,83 +212,77 @@ def check_waists(w0_bars) -> None:
         raise ValueError(f"waist {w0!r} is too small: its Rayleigh length w0^2 / 2 underflows")
 
 
-def _xi_kernel(cloud: CloudGeometry, w0: np.ndarray, variant: str):
-    """``xi`` at every waist of the 1-d array ``w0``, and the mask of the
-    waists evaluated by the axial rule (the others are closed forms).
+def _xi_kernel(sp_sq: np.ndarray, sz: np.ndarray, w0: np.ndarray, variant: str):
+    """``xi`` of every cell and waist of the ``(n, k)`` matrix ``w0``, for
+    clouds of squared widths ``sp_sq`` and lengths ``sz`` (arrays ``(n,)``),
+    and the mask of the entries evaluated by the axial rule (the others
+    are closed forms).
 
-    The pancake and degenerate-length limits are decided per waist
-    before any mesh is built; the compensated variants then share one
-    mesh, fine enough for the smallest Rayleigh length among the rest.
+    When every cloud has a length the uniform phase is one erfcx pass.
+    Otherwise the pancake and degenerate-length limits are decided per
+    waist before any mesh is built; each compensated cell then gets one
+    axial mesh, fine enough for the smallest Rayleigh length among its
+    remaining waists.
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {variant!r}")
-    if w0.ndim != 1:
-        raise ValueError("waists must form a 1-d array")
+    if w0.ndim != 2 or not sp_sq.shape == sz.shape == w0.shape[:1]:
+        raise ValueError("need (n,) cloud arrays and an (n, k) waist matrix")
     check_waists(w0)
-    sp_sq, sz = cloud.sigma_perp_bar ** 2, cloud.sigma_z_bar
     zeta = 0.5 * w0 * w0
-    pole = zeta + sp_sq
+    quad = np.zeros(w0.shape, dtype=bool)
+    long = sz > 0.0
+    if variant == UNIFORM and long.all():
+        return _uniform_xi(zeta, sp_sq[:, None], sz[:, None]), quad
+    pole = zeta + sp_sq[:, None]
     # zero-length cloud at the focus: all three phase profiles coincide
     xi = -1j * zeta / pole
-    quad = np.zeros(w0.shape, dtype=bool)
-    if sz == 0.0:
-        return xi, quad
     if variant == UNIFORM:
-        return _uniform_xi(zeta, sp_sq, sz), quad
+        xi[long] = _uniform_xi(zeta[long], sp_sq[long, None], sz[long, None])
+        return xi, quad
 
-    quad = ~_degenerate_length(sz, zeta)
-    if quad.any():
-        z, weights = _axial_rule(sz, float(zeta[quad].min()))
+    quad = ~_degenerate_length(sz[:, None], zeta)
+    for r in np.flatnonzero(quad.any(axis=1)):
+        q = quad[r]
+        z, weights = _axial_rule(float(sz[r]), float(zeta[r, q].min()))
         z_sq = z * z
-        zq = zeta[quad][:, None]
+        zq = zeta[r, q][:, None]
         r_sq = zq * zq + z_sq  # |z + i zR|^2
         if variant == GOUY_COMPENSATED:
             # Im of exp(-i arctan(z/zR)) / (z + i p), p = zR + sp^2; the
             # real part is odd in z and integrates to zero
-            pq = pole[quad][:, None]
+            pq = pole[r, q][:, None]
             f = (zq * pq + z_sq) / ((z_sq + pq * pq) * np.sqrt(r_sq))
         else:
             # w(z) / (w(z)^2 + 2 sp^2), scaled by w0 / zR
-            f = np.sqrt(r_sq) / (r_sq + sp_sq * zq)
-        xi[quad] = -1j * zeta[quad] * (f @ weights)
+            f = np.sqrt(r_sq) / (r_sq + sp_sq[r] * zq)
+        xi[r, q] = -1j * zeta[r, q] * (f @ weights)
     return xi, quad
 
 
-def _factors(xi, w0):
+def geometric_factors(sigma_perp_sq, sigma_z, w0_bars, variant: str) -> np.ndarray:
+    """Per-atom collection efficiency of many clouds at many waists.
+
+    Row ``i`` of the ``(n, k)`` waists ``w0_bars`` belongs to the cloud of
+    squared width ``sigma_perp_sq[i]`` (``sigma_perp_bar ** 2`` in float
+    arithmetic, as :func:`compute_xi` squares it) and length
+    ``sigma_z[i]``: the batched form of
+    ``compute_xi(cloud, w, variant).geometric_factor``, value for value,
+    with the normalization guard of :class:`OverlapResult` applied to the
+    whole matrix.
+    """
+    w0 = np.asarray(w0_bars, dtype=float)
+    xi, _ = _xi_kernel(np.asarray(sigma_perp_sq, dtype=float),
+                       np.asarray(sigma_z, dtype=float), w0, variant)
     xi_abs_sq = np.abs(xi) ** 2
     _check_normalized(float(xi_abs_sq.max()))
     return 6.0 * xi_abs_sq / (w0 * w0)
 
 
-def geometric_factors(cloud: CloudGeometry, w0_bars, variant: str) -> np.ndarray:
-    """Per-atom collection efficiency at every waist of the 1-d ``w0_bars``.
-
-    The batched form of ``compute_xi(cloud, w, variant).geometric_factor``:
-    one numpy pass over all waists, with the normalization guard of
-    :class:`OverlapResult` applied to each.
-    """
-    w0 = np.asarray(w0_bars, dtype=float)
-    xi, _ = _xi_kernel(cloud, w0, variant)
-    return _factors(xi, w0)
-
-
-def uniform_factors(sigma_perp_sq, sigma_z, w0_bars) -> np.ndarray:
-    """Uniform-phase geometric factor of many clouds in one numpy pass.
-
-    Elementwise over broadcast arrays of squared cloud widths (each
-    ``sigma_perp_bar ** 2`` in float arithmetic, as :func:`compute_xi`
-    squares it), cloud lengths ``sigma_z > 0`` and waists: the erfcx
-    closed form of ``geometric_factors(cloud, w, UNIFORM)``, value for
-    value.  The normalization guard applies to the whole array.
-    """
-    w0 = np.asarray(w0_bars, dtype=float)
-    return _factors(_uniform_xi(0.5 * w0 * w0, sigma_perp_sq, sigma_z), w0)
-
-
 def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResult:
     """Overlap of one cloud and waist for a phase variant.
 
-    The one-waist case of the kernel behind :func:`geometric_factors`:
+    The 1 x 1 case of the kernel behind :func:`geometric_factors`:
     zero-length and negligibly short clouds take the analytic pancake
     form (``method="closed_form"``), the uniform phase the exact erfcx
     closed form, the compensated phases the fixed axial rule
@@ -300,8 +293,9 @@ def compute_xi(cloud: CloudGeometry, w0_bar: float, variant: str) -> OverlapResu
     hence erfcx.  A stored phase cancelling the Gouy phase's sign flip
     across the focus makes the two half-spaces add for long clouds.
     """
-    xi, quad = _xi_kernel(cloud, np.array([w0_bar], dtype=float), variant)
-    return OverlapResult.from_xi(xi[0], w0_bar, "quadrature" if quad[0] else "closed_form")
+    xi, quad = _xi_kernel(np.array([cloud.sigma_perp_bar ** 2]), np.array([cloud.sigma_z_bar]),
+                          np.array([[w0_bar]], dtype=float), variant)
+    return OverlapResult.from_xi(xi[0, 0], w0_bar, "quadrature" if quad[0, 0] else "closed_form")
 
 
 def small_cloud_factors(cloud: CloudGeometry, w0_bars) -> np.ndarray:

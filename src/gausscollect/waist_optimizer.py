@@ -8,8 +8,9 @@ maximized numerically on one batched path, :func:`maximize_rows`,
 over a matrix of cells x waists: a 64-point log-spaced scan brackets
 each cell's global maximum, then rounds of 17 uniformly spaced waists
 narrow that bracket, every round one objective call for all cells still
-active.  Nothing here assumes the objective is unimodal beyond the
-scan's winning bracket.
+active: one :func:`~gausscollect.overlap_engine.geometric_factors` call,
+whatever the phase variant or cloud length.  Nothing here assumes the
+objective is unimodal beyond the scan's winning bracket.
 
 A sweep optimizes its cells one sigma_perp row at a time, all cells of
 the row together (one row keeps the working arrays small; a whole grid
@@ -25,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble_model import PHASE_VARIANTS, UNIFORM, CloudGeometry
+from .ensemble_model import PHASE_VARIANTS, CloudGeometry
 # compute_xi is not called here, but perfbench/layers.py wraps this attribute
-from .overlap_engine import (  # noqa: F401
-    compute_xi,
-    geometric_factors,
-    small_cloud_factors,
-    uniform_factors,
-)
+from .overlap_engine import compute_xi, geometric_factors, small_cloud_factors  # noqa: F401
 
 __all__ = [
     "OptimizationError",
@@ -166,12 +162,17 @@ def maximize_rows(f, lo, hi, *, tol: float = 1e-6):
 def default_bracket(cloud: CloudGeometry) -> tuple[float, float]:
     """Waist search interval spanning the pancake and long-cloud optima.
 
-    Raises ``ValueError`` when it leaves the supported waists [0.5, 1e4].
+    Raises ``ValueError`` when it is empty (``sigma_perp_bar`` below
+    ``0.5 / (50 sqrt 2)``, about 0.00707, puts its upper end under the
+    smallest supported waist) or leaves the supported waists [0.5, 1e4].
     """
     base = math.sqrt(2.0) * cloud.sigma_perp_bar
     lo, hi = max(0.5, 0.2 * base), 50.0 * base
-    if not (0.5 <= lo < hi <= 1e4):
-        raise ValueError(f"bracket [{lo}, {hi}] outside the supported [0.5, 1e4]")
+    if not lo < hi:
+        raise ValueError(f"waist search bracket [{lo}, {hi}] is empty: its upper end "
+                         "50 sqrt(2) sigma_perp_bar is below the smallest supported waist 0.5")
+    if not hi <= 1e4:
+        raise ValueError(f"waist search bracket [{lo}, {hi}] outside the supported [0.5, 1e4]")
     return lo, hi
 
 
@@ -217,23 +218,6 @@ def _check_profile_tol(profile: str, tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-def _efficiency(clouds, profile: str):
-    """The per-atom collection efficiency as an objective of :func:`maximize_rows`.
-
-    The uniform phase takes its erfcx closed form over the whole waist
-    array at once; the compensated phases evaluate each cell on its own
-    axial mesh (padding the meshes of a row to one array gains nothing
-    and costs memory).
-    """
-    if profile == UNIFORM and all(c.sigma_z_bar > 0.0 for c in clouds):
-        sp_sq = np.array([[c.sigma_perp_bar ** 2] for c in clouds])
-        sz = np.array([[c.sigma_z_bar] for c in clouds])
-        return lambda W, cells: uniform_factors(sp_sq[cells], sz[cells], W)
-    return lambda W, cells: np.array(
-        [geometric_factors(clouds[i], w, profile) for i, w in zip(cells, W)]
-    )
-
-
 def _status(on_edge: bool, exc: Exception | None) -> str:
     if exc is not None:
         return f"failed: {type(exc).__name__}"
@@ -263,8 +247,12 @@ def _optima(clouds, profile: str, tol: float, objective=None):
         else:
             batch.append(i)
     if batch:
-        f = (_efficiency([clouds[i] for i in batch], profile) if objective is None
-             else lambda W, cells: objective(W))
+        if objective is None:
+            sp_sq = np.array([clouds[i].sigma_perp_bar ** 2 for i in batch])
+            sz = np.array([clouds[i].sigma_z_bar for i in batch])
+            f = lambda W, cells: geometric_factors(sp_sq[cells], sz[cells], W, profile)
+        else:
+            f = lambda W, cells: objective(W)
         lo, hi = np.array(brackets).T
         x[batch], g[batch], on_edge[batch], row_errors = maximize_rows(f, lo, hi, tol=tol)
         for i, exc in zip(batch, row_errors):

@@ -273,9 +273,13 @@ class TestMainExitCodes:
         ("validate --suite overlap --trials 0", "must be >= 1"),
         ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-theta 0", "must be >= 1"),
         ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-phi 0", "must be >= 1"),
-        # the default waist bracket leaves the supported [0.5, 1e4]
+        # the default waist bracket leaves the supported [0.5, 1e4], or is empty
         ("optimize --sigma-perp-bar 200 --sigma-z-bar 10", "outside the supported"),
-        ("optimize --sigma-perp-bar 0.005 --sigma-z-bar 10", "outside the supported"),
+        ("optimize --sigma-perp-bar 0.005 --sigma-z-bar 10", "is empty"),
+        # polar angles outside (0, pi]
+        ("farfield --sigma-perp-bar 1 --sigma-z-bar 1 --theta-max 1e300", "theta_max"),
+        ("farfield --sigma-perp-bar 1 --sigma-z-bar 1 --theta-max -3", "theta_max"),
+        ("farfield --sigma-perp-bar 1 --sigma-z-bar 1 --theta-max 0", "theta_max"),
         # physical inputs the domain classes or the unit conversion reject
         ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --rabi -1",
          "amplitude must be non-negative"),
@@ -583,6 +587,12 @@ class TestOutputs:
         ):
             assert main(argv.split()) == EXIT_OK
             assert "np." not in capsys.readouterr().out
+
+    def test_farfield_accepts_theta_max_pi(self, capsys):
+        assert main(["farfield", "--sigma-perp-bar", "1", "--sigma-z-bar", "1",
+                     "--samples", "10", "--n-theta", "2", "--theta-max", repr(math.pi)]) == EXIT_OK
+        last_row = capsys.readouterr().out.splitlines()[-1]
+        assert float(last_row.split(",")[0]) == math.pi
 
     def test_farfield_compensated_requires_waist(self):
         assert main([

@@ -227,6 +227,12 @@ class TestInvariantsAndDispatch:
 VARIANTS = (UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN)
 
 
+def cloud_factors(cloud, ws, variant):
+    """``geometric_factors`` of one cloud over the 1-d waists ``ws``."""
+    return geometric_factors([cloud.sigma_perp_bar ** 2], [cloud.sigma_z_bar],
+                             np.atleast_2d(ws), variant)[0]
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batched_scan_equals_one_waist(self, variant):
@@ -238,7 +244,7 @@ class TestBatchedKernel:
                 float(np.exp(rng.uniform(0.0, np.log(1000.0)))),
             )
             ws = np.geomspace(*default_bracket(cloud), 64)
-            batched = geometric_factors(cloud, ws, variant)
+            batched = cloud_factors(cloud, ws, variant)
             single = [compute_xi(cloud, w, variant).geometric_factor for w in ws]
             assert_allclose(batched, single, rtol=1e-13, atol=0.0)
 
@@ -253,11 +259,41 @@ class TestBatchedKernel:
         cloud = CloudGeometry(sp, sz)
         ws = np.geomspace(0.5, 1e4, 64)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            batched = geometric_factors(cloud, ws, variant)
+            batched = cloud_factors(cloud, ws, variant)
             single = [compute_xi(cloud, w, variant).geometric_factor for w in ws]
         assert_allclose(batched, single, rtol=1e-13, atol=0.0)
         pancake = 6.0 * ws**2 / (ws**2 + 2.0 * sp * sp) ** 2
         assert_allclose(batched, pancake, rtol=1e-9)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_mixed_matrix_equals_one_cloud_rows(self, variant):
+        # zero, subnormal and tiny lengths beside regular clouds in one
+        # call: each row must come out as its one-cloud call, bit for bit
+        clouds = [CloudGeometry(3.0, 0.0), CloudGeometry(5.0, 100.0),
+                  CloudGeometry(3.0, 5e-324), CloudGeometry(0.7, 1e-6),
+                  CloudGeometry(40.0, 2.0), CloudGeometry(2.0, 900.0)]
+        W = np.array([np.geomspace(0.5 * (i + 1), 1e3 / (i + 1), 17) for i in range(len(clouds))])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            matrix = geometric_factors([c.sigma_perp_bar ** 2 for c in clouds],
+                                       [c.sigma_z_bar for c in clouds], W, variant)
+            rows = [cloud_factors(c, w, variant) for c, w in zip(clouds, W)]
+        assert (matrix == np.array(rows)).all()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_compute_xi_is_the_one_by_one_case(self, variant):
+        rng = np.random.default_rng(5)
+        for sp, sz, w0 in [(5.0, 100.0, 10.0), (0.7, 0.0, 3.0), (40.0, 1e-6, 2.0),
+                           *sample_overlap_triples(6, seed=3)]:
+            cloud = CloudGeometry(sp, sz)
+            w0 *= float(rng.uniform(0.5, 2.0))
+            single = compute_xi(cloud, w0, variant)
+            assert single.geometric_factor == cloud_factors(cloud, [w0], variant)[0]
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="waist matrix"):
+            geometric_factors([4.0], [10.0], [3.0, 4.0], UNIFORM)
+        with pytest.raises(ValueError, match="waist matrix"):
+            geometric_factors([4.0, 9.0], [10.0], [[3.0], [4.0]], GOUY_COMPENSATED)
 
     @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
     def test_axial_rule_against_brute_force(self, variant):
@@ -271,9 +307,9 @@ class TestBatchedKernel:
     def test_rejects_bad_waists(self):
         cloud = CloudGeometry(2.0, 50.0)
         with pytest.raises(ValueError, match="w0_bar"):
-            geometric_factors(cloud, [3.0, 0.0], GOUY_COMPENSATED)
+            cloud_factors(cloud, [3.0, 0.0], GOUY_COMPENSATED)
         with pytest.raises(ValueError, match="phase variant"):
-            geometric_factors(cloud, [3.0], "bespoke")
+            cloud_factors(cloud, [3.0], "bespoke")
 
     @pytest.mark.parametrize("w0", [1e-200, 2.3e-162, 1e-154])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -283,7 +319,7 @@ class TestBatchedKernel:
         with pytest.raises(ValueError, match="Rayleigh length"):
             compute_xi(cloud, w0, variant)
         with pytest.raises(ValueError, match="Rayleigh length"):
-            geometric_factors(cloud, [3.0, w0], variant)
+            cloud_factors(cloud, [3.0, w0], variant)
 
     def test_oracles_reject_a_vanishing_rayleigh_length(self):
         cloud = CloudGeometry(1.0, 1.0)

@@ -24,6 +24,12 @@ from gausscollect.waist_optimizer import (
 )
 
 
+def cloud_factors(cloud, ws, profile):
+    """``geometric_factors`` of one cloud over the 1-d waists ``ws``."""
+    return geometric_factors([cloud.sigma_perp_bar ** 2], [cloud.sigma_z_bar],
+                             np.atleast_2d(ws), profile)[0]
+
+
 def small_cloud_objective(cloud):
     return lambda ws: small_cloud_factors(cloud, ws)
 
@@ -61,7 +67,7 @@ def maximize_scalar_reference(f, lo, hi, tol):
 def per_cell_reference(cloud, profile, tol):
     lo, hi = default_bracket(cloud)
     w, g, on_edge = maximize_scalar_reference(
-        lambda ws: geometric_factors(cloud, ws, profile), lo, hi, tol
+        lambda ws: cloud_factors(cloud, ws, profile), lo, hi, tol
     )
     return w, g, "edge" if on_edge else "ok"
 
@@ -82,7 +88,7 @@ def brent_reference(cloud, profile, tol):
     an abscissa tolerance of ``tol`` relative to the bracket's lower end."""
     lo, hi = default_bracket(cloud)
     ws = np.geomspace(lo, hi, 64)
-    k = int(np.argmax(geometric_factors(cloud, ws, profile)))
+    k = int(np.argmax(cloud_factors(cloud, ws, profile)))
     a, b = ws[max(k - 1, 0)], ws[min(k + 1, 63)]
     best = minimize_scalar(
         lambda w: -compute_xi(cloud, w, profile).geometric_factor,
@@ -163,10 +169,10 @@ class TestNumericOptimum:
         cloud = CloudGeometry(2.0, 5.0)
         # sigma_perp = 200 puts the default bracket above the supported
         # waists, sigma_perp = 0.005 makes it empty
-        for sp in (200.0, 0.005):
-            with pytest.raises(ValueError, match="outside the supported"):
+        for sp, message in ((200.0, "outside the supported"), (0.005, "is empty")):
+            with pytest.raises(ValueError, match=message):
                 default_bracket(CloudGeometry(sp, 10.0))
-            with pytest.raises(ValueError, match="outside the supported"):
+            with pytest.raises(ValueError, match=message):
                 optimal_waist_numeric(CloudGeometry(sp, 10.0), UNIFORM)
         with pytest.raises(ValueError):
             optimal_waist_numeric(cloud, UNIFORM, tol=-1.0)
@@ -235,8 +241,8 @@ class TestNumericOptimum:
             assert rec.status == "ok"
             lo, hi = default_bracket(rec.cloud)
             w = rec.w0_max_bar
-            left = geometric_factors(rec.cloud, np.geomspace(lo, w, 40), variant)
-            right = geometric_factors(rec.cloud, np.geomspace(w, hi, 40), variant)
+            left = cloud_factors(rec.cloud, np.geomspace(lo, w, 40), variant)
+            right = cloud_factors(rec.cloud, np.geomspace(w, hi, 40), variant)
             if max(left.max(), right.max()) > rec.g_max * (1.0 + 1e-12):
                 above_optimum.append(rec.cloud)
             if variant == FULL_GAUSSIAN:
@@ -347,17 +353,12 @@ class TestSweep:
 
         sp, sz = [2.0, 5.0], [50.0, 100.0, 200.0]
         clean = sweep(sp, sz, variant, 1e-6)
-        true_kernel = engine._uniform_xi if variant == UNIFORM else engine._xi_kernel
-        if variant == UNIFORM:
-            def faulty(zeta, sp_sq, sigma_z):
-                xi = true_kernel(zeta, sp_sq, sigma_z)
-                return np.where(sigma_z == 100.0, fault(xi), xi)
-            monkeypatch.setattr(engine, "_uniform_xi", faulty)
-        else:
-            def faulty(cloud, w0, profile):
-                xi, quad = true_kernel(cloud, w0, profile)
-                return (fault(xi) if cloud.sigma_z_bar == 100.0 else xi), quad
-            monkeypatch.setattr(engine, "_xi_kernel", faulty)
+        true_kernel = engine._xi_kernel
+
+        def faulty(sp_sq, sigma_z, w0, profile):
+            xi, quad = true_kernel(sp_sq, sigma_z, w0, profile)
+            return np.where((sigma_z == 100.0)[:, None], fault(xi), xi), quad
+        monkeypatch.setattr(engine, "_xi_kernel", faulty)
         grid = sweep(sp, sz, variant, 1e-6)
         for row, clean_row in zip(grid, clean):
             bad = row[1]
@@ -366,9 +367,11 @@ class TestSweep:
             for rec, ref in zip(row[::2], clean_row[::2]):
                 assert rec == ref and rec.status == "ok"
 
-    def test_unsupported_bracket_fails_alone(self):
-        # sigma_perp > 141.4 puts the default bracket's upper end past 1e4
-        clouds = [CloudGeometry(5.0, 100.0), CloudGeometry(150.0, 100.0),
+    @pytest.mark.parametrize("sp", [150.0, 0.005], ids=["above", "empty"])
+    def test_unsupported_bracket_fails_alone(self, sp):
+        # sigma_perp > 141.4 puts the default bracket's upper end past 1e4,
+        # sigma_perp < 0.00707 makes the bracket empty
+        clouds = [CloudGeometry(5.0, 100.0), CloudGeometry(sp, 100.0),
                   CloudGeometry(5.0, 200.0)]
         records = optimal_waists(clouds, UNIFORM)
         assert records[1].status == "failed: ValueError"
@@ -376,9 +379,10 @@ class TestSweep:
         for rec, cloud in zip(records[::2], clouds[::2]):
             assert rec == optimal_waist_numeric(cloud, UNIFORM)
             assert rec.status == "ok"
-        grid = sweep([5.0, 150.0], [100.0, 200.0], UNIFORM, 1e-6)
-        assert [r.status for r in grid[0]] == ["ok", "ok"]
-        assert [r.status for r in grid[1]] == ["failed: ValueError"] * 2
+        grid = sweep(sorted([5.0, sp]), [100.0, 200.0], UNIFORM, 1e-6)
+        statuses = {row[0].cloud.sigma_perp_bar: [r.status for r in row] for row in grid}
+        assert statuses[5.0] == ["ok", "ok"]
+        assert statuses[sp] == ["failed: ValueError"] * 2
 
     def test_sweep_arguments_raise_before_any_cell(self, monkeypatch):
         import gausscollect.waist_optimizer as mod
@@ -386,7 +390,7 @@ class TestSweep:
         def no_cell(*args, **kwargs):
             raise AssertionError("a cell ran before the arguments were checked")
 
-        for name in ("maximize_rows", "uniform_factors", "geometric_factors"):
+        for name in ("maximize_rows", "geometric_factors"):
             monkeypatch.setattr(mod, name, no_cell)
         with pytest.raises(ValueError, match="phase variant"):
             mod.sweep([2.0], [50.0], "bespoke", 1e-6)
