@@ -80,8 +80,8 @@ _FLAGS = {
     "grid_perp": (str, None), "grid_z": (str, None), "preset": (tuple(sorted(PRESETS)), None),
     "out": (str, None), "format": (("csv", "json"), "csv"), "verbose": (bool, False),
     "tol": (float, 1e-6), "seed": (int, 1234),
-    "suite": (("overlap", "optimum", "dynamics", "all"), "all"), "trials": (int, 10),
-    "samples": (int, 100_000), "n_theta": (int, 25), "theta_max": (float, math.pi),
+    "suite": (("overlap", "optimum", "dynamics", "farfield", "all"), "all"),
+    "trials": (int, 10), "n_theta": (int, 25), "theta_max": (float, math.pi),
     "n_phi": (int, 1),
 }
 
@@ -93,11 +93,14 @@ _OUTPUT = ("out", "format", "verbose")
 # inputs the resolved configuration leaves out: the output path is not
 # part of the computation, and physical sizes resolve into dimensionless ones
 _UNRECORDED = ("out", *_PHYSICAL)
+# flags a command accepts and checks but does not read, nor record:
+# farfield's --seed, from when its pattern was sampled
+_UNREAD = {"farfield": ("seed",)}
 
 # lower bounds of the numeric fields
 _POSITIVE = ("sigma_perp_bar", "waist_bar", "tol")
 _AT_LEAST = {"sigma_z_bar": 0, "seed": 0, **dict.fromkeys(
-    ("n_atoms", "samples", "t_steps", "trials", "n_theta", "n_phi"), 1)}
+    ("n_atoms", "t_steps", "trials", "n_theta", "n_phi"), 1)}
 
 _JSON_KINDS = {
     float: "a finite JSON number", int: "a JSON integer", str: "a JSON string",
@@ -166,7 +169,8 @@ def parse_config(argv) -> argparse.Namespace:
     """Resolve flags plus optional config file into the command's fields.
 
     The namespace holds ``command``, ``resolved`` and exactly the fields
-    the command reads, defaults filled in.  Flags override config-file
+    the command takes, defaults filled in; ``resolved`` leaves out those
+    it takes but does not read (``_UNREAD``).  Flags override config-file
     values; a config-file field of another command is a usage error.
     Exactly one of the physical (micrometer + wavelength) and
     dimensionless cloud descriptions may be supplied.
@@ -242,6 +246,9 @@ def _validate_command_inputs(config: argparse.Namespace, required):
             continue
         if _FLAGS[name][0] is float and not math.isfinite(value):
             raise ConfigError(f"{cmd}: {name} must be finite, got {value}")
+        # counts meet floats in the output (g_times_n) and the pattern (1 / N)
+        if _FLAGS[name][0] is int and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{cmd}: {name} is beyond the float range")
         if name in _POSITIVE and value <= 0.0:
             raise ConfigError(f"{cmd}: {name} must be positive, got {value}")
         if name in _AT_LEAST and value < _AT_LEAST[name]:
@@ -311,8 +318,9 @@ def _dynamics_drive(config: argparse.Namespace):
 
 def _resolved_dict(config: argparse.Namespace) -> dict:
     out = {}
+    unread = _UNREAD.get(config.command, ())
     for name, value in vars(config).items():
-        if name in _UNRECORDED or value is None:
+        if name in _UNRECORDED or name in unread or value is None:
             continue
         if isinstance(value, np.ndarray):
             value = [float(v) for v in value]
@@ -447,11 +455,10 @@ def _cmd_farfield(config: argparse.Namespace) -> int:
     profile = make_profile(config.phase, config.waist_bar)
     thetas = np.linspace(0.0, config.theta_max, config.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, config.n_phi, endpoint=False)
-    grid = structure_factor(cloud, profile, config.samples, config.seed,
-                            direction_grid(thetas, phis))
-    header = ["theta", "phi", "s", "s_stderr"]
+    grid = structure_factor(cloud, profile, config.n_atoms, direction_grid(thetas, phis))
+    header = ["theta", "phi", "s"]
     rows = [
-        [float(th), float(ph), float(grid.intensity[i, j]), float(grid.stderr[i, j])]
+        [float(th), float(ph), float(grid.intensity[i, j])]
         for i, th in enumerate(grid.theta_values)
         for j, ph in enumerate(grid.phi_values)
     ]
@@ -485,8 +492,8 @@ _COMMANDS = {
                  (*_CLOUD, "waist_bar", "phase", "n_atoms", "rabi", "pulse", "pulse_center",
                   "pulse_width", "t_end", "t_steps", *_OUTPUT),
                  (*_CLOUD_REQUIRED, "waist_bar")),
-    "farfield": ("Monte-Carlo angular emission pattern", _cmd_farfield,
-                 (*_CLOUD, "waist_bar", "phase", "samples", "seed", "n_theta", "theta_max",
+    "farfield": ("ensemble-mean angular emission pattern", _cmd_farfield,
+                 (*_CLOUD, "waist_bar", "phase", "n_atoms", "seed", "n_theta", "theta_max",
                   "n_phi", *_OUTPUT), _CLOUD_REQUIRED),
     "validate": ("cross-check closed forms against independent oracles", _cmd_validate,
                  ("suite", "trials", "tol", "seed", "verbose"), ()),

@@ -388,32 +388,37 @@ def _brute_force_level(
 
     sp_sq = sp * sp
     u_max = (_CUT_SIGMAS * sp) ** 2
-    total = 0.0 + 0.0j
 
-    # process one axial panel at a time: the radial mesh density follows
-    # the local oscillation rate, which varies strongly along the axis
-    for k in range(len(z_edges) - 1):
-        z, wz = _panel_nodes(z_edges[k:k + 2], order)
-        q = z + 1j * zeta
-        abs_q_sq = z * z + zeta * zeta
-        # radial exponent rate: cloud + mode decay, mode transverse phase
-        s_eff = 1.0 / (2.0 * sp_sq) + (zeta + 1j * z) / (2.0 * abs_q_sq)
-        factor = np.exp(-z * z / (2.0 * sz * sz)) * (zeta / q)
-        if variant == GOUY_COMPENSATED:
-            factor = factor * np.exp(-1j * np.arctan(z / zeta))
-        elif variant == FULL_GAUSSIAN:
-            factor = factor * np.exp(-1j * np.arctan(z / zeta))
-            s_eff = s_eff - 1j * z / (2.0 * abs_q_sq)
+    # every axial panel at once, one row of nodes per panel
+    z, wz = _panel_nodes(z_edges, order)
+    q = z + 1j * zeta
+    abs_q_sq = z * z + zeta * zeta
+    # radial exponent rate: cloud + mode decay, mode transverse phase
+    s_eff = 1.0 / (2.0 * sp_sq) + (zeta + 1j * z) / (2.0 * abs_q_sq)
+    factor = np.exp(-z * z / (2.0 * sz * sz)) * (zeta / q)
+    if variant == GOUY_COMPENSATED:
+        factor = factor * np.exp(-1j * np.arctan(z / zeta))
+    elif variant == FULL_GAUSSIAN:
+        factor = factor * np.exp(-1j * np.arctan(z / zeta))
+        s_eff = s_eff - 1j * z / (2.0 * abs_q_sq)
+    s_eff = s_eff.reshape(-1, order)
 
-        re_min = float(np.min(s_eff.real))
-        u_end = min(u_max, 45.0 / re_min)
-        n_panels = max(2, math.ceil(u_end * float(np.max(np.abs(s_eff))) / phase_budget))
-        u_edges = np.linspace(0.0, u_end, n_panels + 1)
-        u, wu = _panel_nodes(u_edges, order)
+    # each axial panel has its own uniform radial mesh in u = r^2, as dense
+    # as the local oscillation rate, which varies strongly along the axis
+    u_end = np.minimum(u_max, 45.0 / s_eff.real.min(axis=1))
+    n_panels = np.maximum(2, np.ceil(u_end * np.abs(s_eff).max(axis=1) / phase_budget))
+    step = (u_end / n_panels)[:, None]
 
-        # radial integral in u = r^2: (1/2) integral exp(-u s_eff) du
-        radial = 0.5 * (wu[None, :] @ np.exp(-np.outer(s_eff, u).T)).ravel()
-        total += np.sum(wz * factor * radial)
+    # radial integral (1/2) integral exp(-u s) du on the nodes
+    # u = p step + c_j of panels p < P: exp(-(p step + c_j) s) = exp(-c_j s) r^p
+    # with r = exp(-step s), and the sum over p is (1 - r^P) / (1 - r)
+    base_x, base_w = _legendre_rule(order)
+    offsets = 0.5 * step * (1.0 + base_x)
+    inner = np.exp(-offsets[:, None, :] * s_eff[:, :, None]) @ base_w
+    rate = step * s_eff
+    panels_sum = np.expm1(-n_panels[:, None] * rate) / np.expm1(-rate)
+    radial = 0.25 * step * inner * panels_sum
+    total = np.sum(wz * factor * radial.ravel())
 
     pref = 1.0 / (_SQRT_2PI * sp_sq * sz)
     return pref * total

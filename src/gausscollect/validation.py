@@ -3,7 +3,8 @@
 Each suite pits an independent evaluation route against the production
 one: closed forms and axial quadratures against the brute-force overlap
 integral, the closed-form optimal waist against the numeric optimizer,
-and the exact amplitude equations against the adiabatic envelope.
+the exact amplitude equations against the adiabatic envelope, and the
+exact ensemble-mean far field against its Monte-Carlo estimate.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .emission_dynamics import PulseShape, adiabatic_beta, integrate_amplitudes
 from .ensemble_model import PHASE_VARIANTS, UNIFORM, CloudGeometry, make_profile
+from .far_field import direction_grid, sampled_structure_factor, structure_factor
 from .overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
 from .waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
 
@@ -24,6 +26,7 @@ __all__ = [
     "validate_overlap",
     "validate_optimum",
     "validate_dynamics",
+    "validate_far_field",
     "run_suite",
 ]
 
@@ -148,6 +151,50 @@ def validate_dynamics(tol: float = 1e-6) -> ValidationReport:
     return report
 
 
+def _lobe_angles(sp: float, sz: float, exponents) -> np.ndarray:
+    """Polar angles where the uniform pattern ``exp(-q_perp^2 sp^2 - q_z^2 sz^2)``
+    falls to ``exp(-c)``, one per ``c`` of ``exponents``, in the small-angle
+    form ``theta^2 sp^2 + theta^4 sz^2 / 4 = c``."""
+    c = np.asarray(exponents, dtype=float)
+    return np.sqrt(2.0 * c / (sp * sp + np.sqrt(sp ** 4 + c * sz * sz)))
+
+
+# atoms per Monte-Carlo pattern of the far-field check: 3 patterns x 4
+# directions x 4000 atoms = 5e4 phasors keep it under 10 ms
+_FAR_FIELD_ATOMS = 4000
+
+
+def validate_far_field(seed: int = 20240819) -> ValidationReport:
+    """Exact ensemble-mean pattern vs the Monte-Carlo pattern of
+    ``_FAR_FIELD_ATOMS`` atoms.
+
+    One seeded cloud of the preset box per phase, with a waist within a
+    factor 2 of ``sqrt(2) sigma_perp``, and four directions inside the
+    coherent lobe, where the pattern stands well above the incoherent
+    floor.  The sampled ``S`` must lie within 4 standard errors of the
+    exact ``|E|^2 + (1 - |E|^2) / N``.
+    """
+    report = ValidationReport("farfield")
+    rng = np.random.default_rng(seed)
+    n = len(PHASE_VARIANTS)
+    clouds = zip(50.0 ** rng.random(n), 1000.0 ** rng.random(n), rng.uniform(-1.0, 1.0, n))
+    for name, (sp, sz, stretch) in zip(PHASE_VARIANTS, clouds):
+        cloud = CloudGeometry(sp, sz)
+        w0 = max(2.0, 2.0 ** stretch * np.sqrt(2.0) * sp)
+        profile = make_profile(name, w0)
+        # no forward direction: both patterns stay unnormalized
+        directions = direction_grid(_lobe_angles(sp, sz, (0.1, 0.5, 1.5, 3.0)), [0.0])
+        exact = structure_factor(cloud, profile, _FAR_FIELD_ATOMS, directions).intensity
+        sampled = sampled_structure_factor(cloud, profile, _FAR_FIELD_ATOMS, seed, directions)
+        worst = float(np.max(np.abs(sampled.intensity - exact) / sampled.stderr))
+        report.check(
+            f"{name} S vs {_FAR_FIELD_ATOMS}-atom Monte Carlo at 4 directions",
+            worst <= 4.0,
+            f"worst |z| {worst:.2f}, bound 4; sp={sp:.3g} sz={sz:.3g} w0={w0:.3g}",
+        )
+    return report
+
+
 def run_suite(suite: str, trials: int, tol: float, seed: int) -> list[ValidationReport]:
     """Run one named suite, or all of them."""
     if suite == "overlap":
@@ -156,10 +203,13 @@ def run_suite(suite: str, trials: int, tol: float, seed: int) -> list[Validation
         return [validate_optimum(trials, tol, seed)]
     if suite == "dynamics":
         return [validate_dynamics(tol)]
+    if suite == "farfield":
+        return [validate_far_field(seed)]
     if suite == "all":
         return [
             validate_overlap(trials, tol, seed),
             validate_optimum(trials, tol, seed),
             validate_dynamics(tol),
+            validate_far_field(seed),
         ]
     raise ValueError(f"unknown validation suite {suite!r}")

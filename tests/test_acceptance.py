@@ -26,7 +26,7 @@ from gausscollect.ensemble_model import (
     PhaseProfile,
     make_profile,
 )
-from gausscollect.far_field import direction_grid, structure_factor
+from gausscollect.far_field import direction_grid, sampled_structure_factor
 from gausscollect.overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
 from gausscollect.cli import main
 from gausscollect.validation import sample_overlap_triples, sample_small_cloud_points
@@ -229,7 +229,7 @@ def test_criterion_8_far_field_coherence():
     t0 = time.monotonic()
     sp, sz = 5.0, 50.0
     theta_star = 0.5 / sp
-    grid = structure_factor(
+    grid = sampled_structure_factor(
         CloudGeometry(sp, sz), PhaseProfile.uniform(), 100_000, 42,
         direction_grid([0.0, theta_star], [0.0]),
     )
@@ -237,7 +237,7 @@ def test_criterion_8_far_field_coherence():
     oracle = math.exp(-(math.sin(theta_star) * sp) ** 2 - ((1 - math.cos(theta_star)) * sz) ** 2)
     z_score = abs(grid.intensity[1, 0] - oracle) / grid.stderr[1, 0]
 
-    backward = structure_factor(
+    backward = sampled_structure_factor(
         CloudGeometry(5.0, 100.0), PhaseProfile.uniform(), 100_000, 11,
         direction_grid([0.0, math.pi], [0.0]),
     ).intensity[1, 0]

@@ -84,6 +84,10 @@ def test_each_command_takes_only_its_flags():
     assert counts == {"xi": 11, "optimize": 12, "sweep": 10, "dynamics": 18, "farfield": 16,
                       "validate": 6}
     assert sum(counts.values()) == 73
+    # farfield's atom count sets the incoherent floor; it samples nothing
+    farfield = {a.dest for a in subcommand_parsers()["farfield"]._actions}
+    assert "n_atoms" in farfield and "samples" not in farfield
+    assert "samples" not in _FLAGS
 
 
 def test_readme_cli_block_matches_the_parser():
@@ -267,7 +271,7 @@ class TestMainExitCodes:
          "must be >= 1"),
         ("optimize --sigma-perp-bar 5 --sigma-z-bar 100 --n-atoms -3", "must be >= 1"),
         ("sweep --grid-perp 2:5:2 --grid-z 50:100:2 --n-atoms 0", "must be >= 1"),
-        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 0", "must be >= 1"),
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-atoms 0", "must be >= 1"),
         ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-steps 0",
          "must be >= 1"),
         ("validate --suite overlap --trials 0", "must be >= 1"),
@@ -314,6 +318,11 @@ class TestMainExitCodes:
          "Rayleigh length w0^2 / 2 underflows"),
         ("farfield --sigma-perp-bar 1 --sigma-z-bar 1 --waist-bar 1e-154 --phase gouy",
          "Rayleigh length w0^2 / 2 underflows"),
+        # an atom count that no float holds
+        ("optimize --sigma-perp-bar 2 --sigma-z-bar 10 --n-atoms 1" + "0" * 400,
+         "n_atoms is beyond the float range"),
+        ("farfield --sigma-perp-bar 2 --sigma-z-bar 10 --n-atoms 1" + "0" * 400,
+         "n_atoms is beyond the float range"),
     ]
 
     @pytest.mark.parametrize("argv, message", _USAGE_CASES,
@@ -334,6 +343,24 @@ class TestMainExitCodes:
         assert "numerical failure: non-finite overlap" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, code", [
+        # a Rayleigh length below 1e-600 cloud lengths: the first axial
+        # breakpoint would underflow to zero
+        ("--sigma-perp-bar 1 --sigma-z-bar 1e300 --waist-bar 1e-150 --phase gouy", EXIT_OK),
+        # a full-phase waist 1e-300 times the cloud width needs too many panels
+        ("--sigma-perp-bar 1e150 --sigma-z-bar 1e300 --waist-bar 1e-150 --phase full",
+         EXIT_NUMERICAL),
+        ("--sigma-perp-bar 1 --sigma-z-bar 5e-324 --waist-bar 1e150 --phase gouy",
+         EXIT_NUMERICAL),
+    ])
+    def test_farfield_extreme_geometry(self, capsys, argv, code):
+        with np.errstate(all="ignore"):
+            assert main(["farfield", *argv.split(), "--n-theta", "4"]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "nan" not in captured.out
+        if code == EXIT_NUMERICAL:
+            assert "numerical failure" in captured.err and captured.out == ""
+
     def test_validate_exits_zero(self, capsys):
         assert main(["validate", "--suite", "dynamics"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -341,6 +368,13 @@ class TestMainExitCodes:
 
     def test_validate_overlap_suite(self, capsys):
         assert main(["validate", "--suite", "overlap", "--trials", "3", "--tol", "1e-6"]) == EXIT_OK
+
+    @pytest.mark.parametrize("seed", ["0", "1234", "99"])
+    def test_validate_far_field_suite(self, capsys, seed):
+        assert main(["validate", "--suite", "farfield", "--seed", seed]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.startswith("farfield: [ok]") for line in lines[:3])
+        assert lines[-1] == "validation PASSED"
 
 
 # each command with its inputs, the fields it records besides command,
@@ -355,10 +389,11 @@ _COMMAND_FIELDS = [
      ("seed", 7)),
     ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --t-end 100 --t-steps 50",
      "sigma_perp_bar sigma_z_bar waist_bar phase n_atoms rabi pulse pulse_center pulse_width "
-     "t_end t_steps", "g_factor n_infinity n_exceeds_single_excitation", ("samples", 100)),
+     "t_end t_steps", "g_factor n_infinity n_exceeds_single_excitation", ("n_theta", 3)),
+    # farfield takes --seed but does not read it, so does not record it
     ("farfield --sigma-perp-um 1 --sigma-z-um 5 --wavelength-nm 780 --phase gouy --waist-bar 10 "
-     "--samples 500 --n-theta 3", "sigma_perp_bar sigma_z_bar waist_bar phase samples seed "
-     "n_theta theta_max n_phi", "forward_value", ("n_atoms", 5)),
+     "--n-atoms 500 --n-theta 3 --seed 5", "sigma_perp_bar sigma_z_bar waist_bar phase n_atoms "
+     "n_theta theta_max n_phi", "forward_value", ("tol", 0.001)),
     ("validate --suite dynamics", "suite trials tol seed", None, ("out", "v.json")),
 ]
 
@@ -571,26 +606,44 @@ class TestOutputs:
         out = tmp_path / "ff.csv"
         code = main([
             "farfield", "--sigma-perp-bar", "5", "--sigma-z-bar", "50",
-            "--samples", "2000", "--n-theta", "4", "--out", str(out),
+            "--n-atoms", "2000", "--n-theta", "4", "--out", str(out),
         ])
         assert code == EXIT_OK
         _, _, rows = read_csv(out)
-        assert rows[0] == ["theta", "phi", "s", "s_stderr"]
+        assert rows[0] == ["theta", "phi", "s"]
         assert float(rows[1][2]) == 1.0  # forward cell
+        # the backward cell sits on the incoherent floor 1 / N
+        assert float(rows[-1][2]) == pytest.approx(1.0 / 2000, rel=1e-12)
+
+    def test_farfield_ignores_the_seed(self, capsys):
+        outputs = []
+        for seed in ("1", "987654"):
+            assert main(["farfield", "--sigma-perp-bar", "3", "--sigma-z-bar", "40",
+                         "--phase", "full", "--waist-bar", "6", "--seed", seed]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("phase", ["gouy", "full"])
+    def test_farfield_work_is_bounded_in_cloud_length(self, capsys, phase):
+        # a mesh resolving exp(i q_z z) would need about 1e9 nodes here
+        assert main(["farfield", "--sigma-perp-bar", "5", "--sigma-z-bar", "1e8",
+                     "--phase", phase, "--waist-bar", "10"]) == EXIT_OK
+        s = [float(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[3:]]
+        assert len(s) == 25 and all(math.isfinite(v) for v in s)
 
     def test_csv_holds_no_numpy_reprs(self, capsys):
         for argv in (
             "sweep --grid-perp 2:5:2 --grid-z 50:100:2 --phase gouy",
             "dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --pulse gaussian "
             "--t-end 100 --t-steps 50",
-            "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --samples 500 --n-theta 3 --n-phi 2",
+            "farfield --sigma-perp-bar 5 --sigma-z-bar 50 --n-atoms 500 --n-theta 3 --n-phi 2",
         ):
             assert main(argv.split()) == EXIT_OK
             assert "np." not in capsys.readouterr().out
 
     def test_farfield_accepts_theta_max_pi(self, capsys):
         assert main(["farfield", "--sigma-perp-bar", "1", "--sigma-z-bar", "1",
-                     "--samples", "10", "--n-theta", "2", "--theta-max", repr(math.pi)]) == EXIT_OK
+                     "--n-atoms", "10", "--n-theta", "2", "--theta-max", repr(math.pi)]) == EXIT_OK
         last_row = capsys.readouterr().out.splitlines()[-1]
         assert float(last_row.split(",")[0]) == math.pi
 

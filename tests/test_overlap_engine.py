@@ -20,7 +20,9 @@ from gausscollect.overlap_engine import (
     geometric_factor,
     geometric_factors,
     small_cloud_factors,
+    _brute_force_level,
     _graded_edges,
+    _panel_nodes,
     xi_brute_force,
     xi_gouy_compensated_curvature_form,
 )
@@ -422,3 +424,57 @@ class TestGeometricFactor:
             geometric_factor(0.1, 0.0)
         with pytest.raises(ValueError):
             geometric_factor(-0.1, 1.0)
+
+
+def brute_force_level_loop(sp, sz, zeta, variant, level):
+    """One level of the brute-force overlap, one axial panel at a time and
+    one exponential per radial node: the per-panel form that
+    ``overlap_engine._brute_force_level`` sums in closed form."""
+    order = 16 + 4 * level
+    h0 = min(zeta, sz) / (6.0 * 1.5 ** level)
+    z_edges = np.array(_graded_edges(h0, 8.5 * sz, ratio=1.4))
+    phase_budget = 5.0 / (1.4 ** level)
+    sp_sq = sp * sp
+    u_max = (8.5 * sp) ** 2
+    total = 0.0 + 0.0j
+    for k in range(len(z_edges) - 1):
+        z, wz = _panel_nodes(z_edges[k:k + 2], order)
+        q = z + 1j * zeta
+        abs_q_sq = z * z + zeta * zeta
+        s_eff = 1.0 / (2.0 * sp_sq) + (zeta + 1j * z) / (2.0 * abs_q_sq)
+        factor = np.exp(-z * z / (2.0 * sz * sz)) * (zeta / q)
+        if variant == GOUY_COMPENSATED:
+            factor = factor * np.exp(-1j * np.arctan(z / zeta))
+        elif variant == FULL_GAUSSIAN:
+            factor = factor * np.exp(-1j * np.arctan(z / zeta))
+            s_eff = s_eff - 1j * z / (2.0 * abs_q_sq)
+        re_min = float(np.min(s_eff.real))
+        u_end = min(u_max, 45.0 / re_min)
+        n_panels = max(2, math.ceil(u_end * float(np.max(np.abs(s_eff))) / phase_budget))
+        u, wu = _panel_nodes(np.linspace(0.0, u_end, n_panels + 1), order)
+        radial = 0.5 * (wu[None, :] @ np.exp(-np.outer(s_eff, u).T)).ravel()
+        total += np.sum(wz * factor * radial)
+    return total / (math.sqrt(2.0 * math.pi) * sp_sq * sz)
+
+
+class TestBruteForceRadialSums:
+    """The closed-form radial sums reproduce the per-node loop."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_loop_on_validate_triples(self, variant):
+        # the triples of `gausscollect validate` at its default seed
+        for sp, sz, w0 in sample_overlap_triples(10, 1234):
+            zeta = 0.5 * w0 * w0
+            for level in range(3):
+                fast = _brute_force_level(sp, sz, zeta, variant, level)
+                loop = brute_force_level_loop(sp, sz, zeta, variant, level)
+                assert abs(fast - loop) <= 1e-13 * abs(loop)
+
+    @given(preset_sp, preset_sz, bracket_frac, st.sampled_from(VARIANTS))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_loop_on_preset_box(self, sp, sz, frac, variant):
+        zeta = 0.5 * bracket_waist(sp, frac) ** 2
+        for level in range(3):
+            fast = _brute_force_level(sp, sz, zeta, variant, level)
+            loop = brute_force_level_loop(sp, sz, zeta, variant, level)
+            assert abs(fast - loop) <= 1e-13 * abs(loop)
