@@ -35,7 +35,7 @@ from .ensemble_model import (
     CloudGeometry,
     make_profile,
 )
-from .far_field import direction_grid, structure_factor
+from .far_field import DirectionGrid, structure_factor
 from .overlap_engine import check_waists, compute_xi
 from .special_math import QuadratureError
 from .validation import run_suite
@@ -411,7 +411,7 @@ def _cmd_xi(config: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(config: argparse.Namespace) -> int:
-    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
+    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
     record = optimal_waist_numeric(cloud, config.phase, tol=config.tol)
     _emit(config, _SWEEP_HEADER, [_optimum_row(record, config.n_atoms)])
     return EXIT_OK
@@ -455,7 +455,7 @@ def _cmd_farfield(config: argparse.Namespace) -> int:
     profile = make_profile(config.phase, config.waist_bar)
     thetas = np.linspace(0.0, config.theta_max, config.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, config.n_phi, endpoint=False)
-    grid = structure_factor(cloud, profile, config.n_atoms, direction_grid(thetas, phis))
+    grid = structure_factor(cloud, profile, config.n_atoms, DirectionGrid(thetas, phis))
     header = ["theta", "phi", "s"]
     rows = [
         [float(th), float(ph), float(grid.intensity[i, j])]

@@ -42,16 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PulseShape:
-    """Drive pulse Omega(t); amplitude in decay-rate units."""
+    """Drive pulse Omega(t), constant or Gaussian; amplitude in decay-rate units."""
 
     variant: str
     amplitude: float = 0.0
     center: float = 0.0
     width: float = 1.0
-    samples: tuple | None = None
 
     def __post_init__(self):
-        if self.variant not in ("constant", "gaussian_pulse", "sampled"):
+        if self.variant not in ("constant", "gaussian_pulse"):
             raise ValueError(f"unknown pulse variant {self.variant!r}")
         if self.amplitude < 0.0:
             raise ValueError("pulse amplitude must be non-negative")
@@ -62,17 +61,6 @@ class PulseShape:
         if math.isinf(self.amplitude * self.amplitude * span):
             raise ValueError(f"pulse amplitude {self.amplitude} is too large: "
                              "its pump integral overflows")
-        if self.variant == "sampled":
-            if self.samples is None:
-                raise ValueError("sampled pulse needs (times, values)")
-            t, v = (np.asarray(a, dtype=float) for a in self.samples)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ValueError("sampled pulse needs matching 1-d times/values")
-            if np.any(np.diff(t) <= 0.0):
-                raise ValueError("sampled pulse grid must be strictly increasing")
-            t.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "samples", (t, v))
         if self.amplitude > 0.2:
             warnings.warn(
                 f"Rabi amplitude {self.amplitude} is not small against the decay "
@@ -89,49 +77,28 @@ class PulseShape:
     def gaussian(cls, amplitude: float, center: float, width: float) -> "PulseShape":
         return cls("gaussian_pulse", amplitude, center, width)
 
-    @classmethod
-    def sampled(cls, times, values) -> "PulseShape":
-        return cls("sampled", 0.0, samples=(times, values))
-
     def rabi(self, t):
         """Omega(t), vectorized."""
         t = np.asarray(t, dtype=float)
         if self.variant == "constant":
             return np.full_like(t, self.amplitude)
-        if self.variant == "gaussian_pulse":
-            u = (t - self.center) / self.width
-            return self.amplitude * np.exp(-0.5 * u * u)
-        times, values = self.samples
-        return np.interp(t, times, values, left=0.0, right=0.0)
+        u = (t - self.center) / self.width
+        return self.amplitude * np.exp(-0.5 * u * u)
 
     def pump_integral(self, t):
-        """``integral_0^t |Omega|^2 dt'``, vectorized.
-
-        Closed forms for the constant and Gaussian variants; cumulative
-        trapezoid on a dense grid for sampled pulses, taken from its value
-        at ``t = 0`` (a sampled pulse may start before 0).
-        """
+        """``integral_0^t |Omega|^2 dt'``, vectorized, in closed form."""
         t = np.asarray(t, dtype=float)
         if self.variant == "constant":
             return self.amplitude ** 2 * t
-        if self.variant == "gaussian_pulse":
-            from scipy.special import erfc
-            # |Omega|^2 is Gaussian with std width/sqrt(2); the integral
-            # pref * (erf(u) + erf(c / tau)) is written with erfc so that
-            # its two terms do not cancel before the pulse arrives
-            amp2 = self.amplitude ** 2
-            tau = self.width
-            pref = amp2 * tau * math.sqrt(math.pi) / 2.0
-            u = (t - self.center) / tau
-            return pref * (erfc(-u) - erfc(self.center / tau))
-        times, values = self.samples
-        dense = np.linspace(times[0], times[-1], 8 * times.size)
-        v2 = np.interp(dense, times, values) ** 2
-        cumulative = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (v2[1:] + v2[:-1]) * np.diff(dense)))
-        )
-        pump = np.interp(t, dense, cumulative, left=0.0, right=cumulative[-1])
-        return pump - np.interp(0.0, dense, cumulative, left=0.0, right=cumulative[-1])
+        from scipy.special import erfc
+        # |Omega|^2 is Gaussian with std width/sqrt(2); the integral
+        # pref * (erf(u) + erf(c / tau)) is written with erfc so that
+        # its two terms do not cancel before the pulse arrives
+        amp2 = self.amplitude ** 2
+        tau = self.width
+        pref = amp2 * tau * math.sqrt(math.pi) / 2.0
+        u = (t - self.center) / tau
+        return pref * (erfc(-u) - erfc(self.center / tau))
 
 
 @dataclass(frozen=True)

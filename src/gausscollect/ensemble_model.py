@@ -83,23 +83,11 @@ class PhaseProfile:
         if self.variant != UNIFORM and self.reference_beam is None:
             raise ValueError(f"{self.variant} phase profile requires a reference beam")
 
-    @classmethod
-    def uniform(cls) -> "PhaseProfile":
-        return cls(UNIFORM)
-
-    @classmethod
-    def gouy_compensated(cls, beam: BeamGeometry) -> "PhaseProfile":
-        return cls(GOUY_COMPENSATED, beam)
-
-    @classmethod
-    def full_gaussian(cls, beam: BeamGeometry) -> "PhaseProfile":
-        return cls(FULL_GAUSSIAN, beam)
-
 
 def make_profile(variant: str, w0_bar: float | None = None) -> PhaseProfile:
     """Build a profile matched to the collection beam of waist ``w0_bar``."""
     if variant == UNIFORM:
-        return PhaseProfile.uniform()
+        return PhaseProfile(UNIFORM)
     if w0_bar is None:
         raise ValueError(f"{variant} profile needs the collection-beam waist")
     return PhaseProfile(variant, BeamGeometry(w0_bar))

@@ -41,23 +41,20 @@ from .ensemble_model import (
     sample_positions,
 )
 from .emission_dynamics import AmplitudeTrajectory
-from .overlap_engine import (
-    _AXIAL_ORDER,
-    _AXIAL_RATIO,
-    _CUT_SIGMAS,
-    _SQRT_2PI,
-    _graded_edges,
-    _legendre_rule,
-)
+from .overlap_engine import _CUT_SIGMAS, _SQRT_2PI, _graded_edges, _legendre_rule
 from .special_math import QuadratureError
 
 __all__ = [
     "DirectionGrid",
-    "direction_grid",
     "single_atom_intensity",
     "structure_factor",
     "sampled_structure_factor",
 ]
+
+# the Filon rule of the compensated patterns: Gauss-Legendre panels of
+# this order, growing by this ratio away from the focus
+_FILON_ORDER = 16
+_FILON_RATIO = 1.6
 
 # phasors per atom block of sampled_structure_factor, and direction x
 # node values per direction block of structure_factor: keeps their
@@ -79,11 +76,12 @@ _MIN_CORE = 1e-18
 class DirectionGrid:
     """Angular grid with per-direction intensity.
 
-    ``intensity[i, j]`` belongs to ``(theta_values[i], phi_values[j])``;
-    a sampled pattern also carries its Monte-Carlo standard error in
-    ``stderr``.  When the grid contains the forward direction
-    ``theta = 0``, the matrix is normalized to the (nonzero) forward
-    value, which is kept in ``forward_value``.
+    Built from the two axes alone, it is the template grid that
+    :func:`structure_factor` fills.  ``intensity[i, j]`` belongs to
+    ``(theta_values[i], phi_values[j])``; a sampled pattern also carries
+    its Monte-Carlo standard error in ``stderr``.  When the grid contains
+    the forward direction ``theta = 0``, the matrix is normalized to the
+    (nonzero) forward value, which is kept in ``forward_value``.
     """
 
     theta_values: np.ndarray
@@ -109,11 +107,6 @@ class DirectionGrid:
                 raise ValueError("intensity must be non-negative")
             inten.setflags(write=False)
             object.__setattr__(self, "intensity", inten)
-
-
-def direction_grid(theta_values, phi_values) -> DirectionGrid:
-    """Template grid (no intensity yet) for :func:`structure_factor`."""
-    return DirectionGrid(theta_values, phi_values)
 
 
 def single_atom_intensity(r_bar: float, t, trajectory: AmplitudeTrajectory):
@@ -161,9 +154,9 @@ def _filon_matrix() -> np.ndarray:
     exactly, through ``integral P_n(x) exp(i omega x) dx = 2 i^n j_n(omega)``.
     Its accuracy is that of the interpolant, whatever ``omega``.
     """
-    x, w = _legendre_rule(_AXIAL_ORDER)
-    n = np.arange(_AXIAL_ORDER)
-    legendre = np.polynomial.legendre.legvander(x, _AXIAL_ORDER - 1).T
+    x, w = _legendre_rule(_FILON_ORDER)
+    n = np.arange(_FILON_ORDER)
+    legendre = np.polynomial.legendre.legvander(x, _FILON_ORDER - 1).T
     matrix = ((2 * n + 1) * 1j ** n)[:, None] * legendre * w[None, :]
     matrix.setflags(write=False)
     return matrix
@@ -175,38 +168,38 @@ def _full_phase_rate(v, sp_sq: float, sz: float, zr: float, spread_max: float):
 
     With ``d = 1 - i u``, ``u = sp^2 z / (z^2 + zR^2)``: ``1/d`` turns at
     ``|u'| / |d|`` and ``exp(-X / d)`` at up to ``X |u'| / |d|^2``, under a
-    modulus ``exp(-X / |d|^2)``.  A 16-point panel resolves a turn of
-    ``phi`` radians under a modulus ``m`` as well as one of
-    ``phi m^(1/16)`` under modulus 1, so that term is weighted by
-    ``m^(1/16)`` and maximized over ``X``: ``y exp(-y / 16)`` with
-    ``y = X / |d|^2``, largest at ``y = 16``.
+    modulus ``exp(-X / |d|^2)``.  A panel of ``n = _FILON_ORDER`` points
+    resolves a turn of ``phi`` radians under a modulus ``m`` as well as
+    one of ``phi m^(1/n)`` under modulus 1, so that term is weighted by
+    ``m^(1/n)`` and maximized over ``X``: ``y exp(-y / n)`` with
+    ``y = X / |d|^2``, largest at ``y = n``.
     """
     gouy = np.arctan2(sz * v, zr)
     u = 0.5 * (sp_sq / zr) * np.sin(2.0 * gouy)
     du = (sp_sq / zr) * (sz / zr) * np.cos(2.0 * gouy) * np.cos(gouy) ** 2
     d_sq = 1.0 + u * u
-    y = np.minimum(spread_max / d_sq, 16.0)
-    return np.abs(du) * (1.0 / np.sqrt(d_sq) + y * np.exp(-y / 16.0))
+    y = np.minimum(spread_max / d_sq, _FILON_ORDER)
+    return np.abs(du) * (1.0 / np.sqrt(d_sq) + y * np.exp(-y / _FILON_ORDER))
 
 
 def _axial_edges(sp_sq: float, sz: float, zr: float, spread_max: float | None):
     """Panel breakpoints of the compensated patterns' axial integral, in ``v = z / sz``.
 
-    The overlap engine's graded panels on the whole axis: they resolve
-    the cloud's Gaussian density and the Gouy phase.  For the full phase
-    (``spread_max``, the largest ``X = q_perp^2 sp^2 / 2`` of the
-    directions, is given) each panel is split evenly until the phase of
-    its transverse factor turns by at most ``_PHASE_BUDGET`` across a
-    piece.  Nothing here depends on ``q_z``: the Filon rule takes
+    Panels graded by ``_FILON_RATIO`` on the whole axis, as the overlap
+    engine grades its own: they resolve the cloud's Gaussian density and
+    the Gouy phase.  For the full phase (``spread_max``, the largest
+    ``X = q_perp^2 sp^2 / 2`` of the directions, is given) each panel is
+    split evenly until the phase of its transverse factor turns by at
+    most ``_PHASE_BUDGET`` across a piece.  Nothing here depends on ``q_z``: the Filon rule takes
     ``exp(i q_z z)`` exactly.  Raises :class:`QuadratureError` where that
     takes more than ``_MAX_PANELS`` panels (a full-phase waist far below
     the cloud width).
     """
     h0 = max(min(zr, sz) / (4.0 * sz), _MIN_CORE)
-    edges = np.array(_graded_edges(h0, _CUT_SIGMAS, _AXIAL_RATIO))
+    edges = np.array(_graded_edges(h0, _CUT_SIGMAS, _FILON_RATIO))
     if spread_max is None:
         return edges
-    x, _ = _legendre_rule(_AXIAL_ORDER)
+    x, _ = _legendre_rule(_FILON_ORDER)
     lo, width = edges[:-1], np.diff(edges)
     v = lo[:, None] + 0.5 * width[:, None] * (1.0 + x[None, :])
     rate = _full_phase_rate(v, sp_sq, sz, zr, spread_max).max(axis=1)
@@ -234,9 +227,10 @@ def _mean_phasor(cloud: CloudGeometry, profile: PhaseProfile, thetas: np.ndarray
 
     The integral is a Filon-Legendre rule on the panels of
     :func:`_axial_edges`: on a panel of midpoint ``M`` and half-width
-    ``H``, ``H exp(i q M) sum_j w_j f_j sum_{n<16} (2n+1) i^n j_n(q H)
-    P_n(x_j)``, so its work does not grow with ``q_z sz``.  Directions
-    go in blocks of about ``_BLOCK_NODES`` direction x node values.
+    ``H``, ``H exp(i q M) sum_j w_j f_j sum_{n<_FILON_ORDER} (2n+1) i^n
+    j_n(q H) P_n(x_j)``, so its work does not grow with ``q_z sz``.
+    Directions go in blocks of about ``_BLOCK_NODES`` direction x node
+    values.
     """
     sp_sq = cloud.sigma_perp_bar ** 2
     sz = cloud.sigma_z_bar
@@ -251,7 +245,7 @@ def _mean_phasor(cloud: CloudGeometry, profile: PhaseProfile, thetas: np.ndarray
     edges = _axial_edges(sp_sq, sz, zr, float(spread.max()) if full else None)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    x, _ = _legendre_rule(_AXIAL_ORDER)
+    x, _ = _legendre_rule(_FILON_ORDER)
     v = mid[:, None] + half[:, None] * x[None, :]
     gouy = np.arctan2(sz * v, zr)
     # standard normal density in v times exp(-i arctan(z / zR))
@@ -260,7 +254,7 @@ def _mean_phasor(cloud: CloudGeometry, profile: PhaseProfile, thetas: np.ndarray
         d = 1.0 - 0.5j * (sp_sq / zr) * np.sin(2.0 * gouy)
         f = f / d
 
-    order = np.arange(_AXIAL_ORDER)
+    order = np.arange(_FILON_ORDER)
     mean = np.empty(thetas.size, dtype=complex)
     block = max(1, _BLOCK_NODES // v.size)
     for start in range(0, thetas.size, block):

@@ -25,8 +25,8 @@ Evaluation routes:
 * a brute-force radial x axial tensor quadrature of the full integral,
   used as the oracle for everything above, and an independent
   beam-width/curvature form of the Gouy-compensated overlap, integrated
-  by Gauss-Hermite with an adaptive QUADPACK fallback (both from
-  scipy), which the tests cross-check against the production form.
+  by adaptive QUADPACK (``scipy.integrate.quad``) on graded breakpoints,
+  which the tests cross-check against the production form.
 
 :func:`geometric_factors` is the one batched entry, over a matrix of
 cells x waists for every phase variant: the uniform phase in one erfcx
@@ -55,7 +55,9 @@ from .ensemble_model import (
     CloudGeometry,
     PhaseProfile,
 )
-from .special_math import QuadratureError, gauss_hermite, integrate_adaptive
+from .special_math import QuadratureError, integrate_adaptive
+# gauss_hermite is not called here, but perfbench/layers.py wraps this attribute
+from .special_math import gauss_hermite  # noqa: F401
 
 __all__ = [
     "OverlapResult",
@@ -79,6 +81,11 @@ _CUT_SIGMAS = 8.5
 _AXIAL_ORDER = 16
 _AXIAL_RATIO = 1.6
 
+# the oracles' accuracy targets: the brute force's agreement between
+# successive meshes, the curvature form's QUADPACK tolerance
+_BRUTE_FORCE_TARGET = 1e-10
+_CURVATURE_TOL = 1e-10
+
 # past this argument sqrt(pi) x erfcx(x) equals 1 to double precision,
 # so the uniform closed form is the exact pancake overlap there
 _UNIFORM_PANCAKE_ARG = 1e100
@@ -98,7 +105,6 @@ class OverlapResult:
     xi_abs_sq: float
     geometric_factor: float
     method: str
-    w0_bar: float
 
     @classmethod
     def from_xi(cls, xi: complex, w0_bar: float, method: str) -> "OverlapResult":
@@ -107,7 +113,7 @@ class OverlapResult:
             raise QuadratureError(f"non-finite overlap {xi!r} at w0_bar = {w0_bar!r}", value=xi)
         xi_abs_sq = abs(xi) ** 2
         _check_normalized(xi_abs_sq)
-        return cls(xi, xi_abs_sq, geometric_factor(xi_abs_sq, w0_bar), method, w0_bar)
+        return cls(xi, xi_abs_sq, geometric_factor(xi_abs_sq, w0_bar), method)
 
 
 def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
@@ -127,7 +133,7 @@ def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
 # panel rules
 # ---------------------------------------------------------------------------
 
-def _graded_edges(h0: float, limit: float, ratio: float = 1.6) -> list[float]:
+def _graded_edges(h0: float, limit: float, ratio: float) -> list[float]:
     """Symmetric breakpoints growing geometrically from the origin to +-limit."""
     if not h0 > 0.0:
         raise ValueError(f"the first breakpoint must be positive, got {h0!r}")
@@ -318,46 +324,15 @@ def small_cloud_factors(cloud: CloudGeometry, w0_bars) -> np.ndarray:
 # oracles
 # ---------------------------------------------------------------------------
 
-def _hermite_axial_integral(smooth, sigma_z: float, core_scale: float, tol: float) -> complex:
-    """``integral exp(-z^2 / 2 sz^2) * smooth(z) dz`` over the whole axis.
-
-    Gauss-Hermite after ``z = sqrt(2) sz u`` (order 128, checked by
-    doubling); when the integrand structure near the focus is too fine
-    for the Hermite nodes the doubling check fails and adaptive QUADPACK
-    integration, split at graded breakpoints, takes over.  A quadrature
-    independent of the fixed axial rule, kept for the oracle below.
-    """
-    s = math.sqrt(2.0) * sigma_z
-
-    def _gh(n: int) -> complex:
-        rule = gauss_hermite(n)
-        return s * np.sum(rule.weights * smooth(s * rule.nodes))
-
-    coarse, fine = _gh(128), _gh(256)
-    if abs(fine - coarse) <= tol * max(1.0, abs(fine)):
-        return fine
-
-    limit = _CUT_SIGMAS * sigma_z
-    h0 = min(core_scale, sigma_z) / 4.0
-    breaks = _graded_edges(h0, limit)
-
-    def integrand(z):
-        return np.exp(-z * z / (2.0 * sigma_z * sigma_z)) * smooth(z)
-
-    return integrate_adaptive(
-        integrand, -limit, limit, tol, breakpoints=breaks
-    ).value
-
-
-def xi_gouy_compensated_curvature_form(
-    cloud: CloudGeometry, w0_bar: float, tol: float = 1e-10
-) -> OverlapResult:
+def xi_gouy_compensated_curvature_form(cloud: CloudGeometry, w0_bar: float) -> OverlapResult:
     """Independent algebraic form of the Gouy-compensated :func:`compute_xi`.
 
     Uses the beam-width/curvature factorization of the mode instead of
-    the complex beam parameter, and its own quadrature; the two must
-    agree to quadrature accuracy and are cross-checked in the test
-    suite.
+    the complex beam parameter, and its own quadrature: one adaptive
+    QUADPACK integral over ``+-8.5 sz``, split at breakpoints graded from
+    a quarter of the smaller of the Rayleigh length and the cloud length.
+    The two must agree to quadrature accuracy and are cross-checked in
+    the test suite.
     """
     check_waists(w0_bar)
     sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
@@ -368,12 +343,16 @@ def xi_gouy_compensated_curvature_form(
     if _degenerate_length(sz, zeta):
         return OverlapResult.from_xi(-1j * zeta / (zeta + sp_sq), w0_bar, "closed_form")
 
-    def smooth(z):
+    def integrand(z):
         w_sq = w0_bar * w0_bar * (1.0 + (z / zeta) ** 2)
         inv_r = z / (z * z + zeta * zeta)
-        return np.sqrt(w_sq) / (w_sq + 2.0 * sp_sq + 1j * w_sq * sp_sq * inv_r)
+        smooth = np.sqrt(w_sq) / (w_sq + 2.0 * sp_sq + 1j * w_sq * sp_sq * inv_r)
+        return np.exp(-z * z / (2.0 * sz * sz)) * smooth
 
-    integral = _hermite_axial_integral(smooth, sz, zeta, tol)
+    limit = _CUT_SIGMAS * sz
+    breaks = _graded_edges(min(zeta, sz) / 4.0, limit, _AXIAL_RATIO)
+    integral = integrate_adaptive(integrand, -limit, limit, _CURVATURE_TOL,
+                                  breakpoints=breaks).value
     xi = -1j * (w0_bar / (_SQRT_2PI * sz)) * integral
     return OverlapResult.from_xi(xi, w0_bar, "quadrature")
 
@@ -424,19 +403,14 @@ def _brute_force_level(
     return pref * total
 
 
-def xi_brute_force(
-    cloud: CloudGeometry,
-    w0_bar: float,
-    profile: PhaseProfile,
-    target: float = 1e-10,
-) -> OverlapResult:
+def xi_brute_force(cloud: CloudGeometry, w0_bar: float, profile: PhaseProfile) -> OverlapResult:
     """Direct tensor-product quadrature of the full overlap integral.
 
     The azimuthal integral is analytic (nothing depends on azimuth), so
     the remaining radial x axial integral is evaluated on graded
     Gauss-Legendre panel meshes, with the radial mesh in ``u = r^2``
     dense enough to track the mode's transverse phase.  Successively
-    refined meshes must agree to ``target`` before a value is accepted;
+    refined meshes must agree to ``_BRUTE_FORCE_TARGET`` before a value is accepted;
     this function is the accuracy oracle for every closed form and
     one-dimensional quadrature in this module.  A compensated
     ``profile`` must reference the beam of waist ``w0_bar``.
@@ -456,11 +430,11 @@ def xi_brute_force(
         val = _brute_force_level(sp, sz, zeta, profile.variant, level)
         if prev is not None:
             change = abs(val - prev)
-            if change <= target * max(1.0, abs(val)):
+            if change <= _BRUTE_FORCE_TARGET * max(1.0, abs(val)):
                 return OverlapResult.from_xi(val, w0_bar, "brute_force")
         prev = val
     raise QuadratureError(
-        f"brute-force overlap did not stabilize to {target:g} "
+        f"brute-force overlap did not stabilize to {_BRUTE_FORCE_TARGET:g} "
         f"(last change {change:.3e})",
         value=val,
     )

@@ -1,11 +1,13 @@
-"""Quadrature primitives of the curvature-form oracle, on scipy.
+"""Quadrature primitives on scipy, for the oracles and the tests.
 
-:func:`gauss_hermite` serves the rules of ``scipy.special.roots_hermite``
-as cached, read-only :class:`QuadratureRule` objects, and
 :func:`integrate_adaptive` wraps ``scipy.integrate.quad`` (QUADPACK) for
 complex integrands, raising :class:`QuadratureError` where QUADPACK
-reports non-convergence.  Production overlaps use neither: they take
-the fixed axial rule and ``scipy.special.erfcx`` in ``overlap_engine``.
+reports non-convergence; the curvature-form oracle of ``overlap_engine``
+integrates on it alone.  :func:`gauss_hermite` serves the rules of
+``scipy.special.roots_hermite`` as cached, read-only
+:class:`QuadratureRule` objects, which only the tests and the benchmark
+harness use.  Production overlaps use neither: they take the fixed
+axial rule and ``scipy.special.erfcx`` in ``overlap_engine``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -77,7 +78,7 @@ def _hermite_rule(n: int) -> QuadratureRule:
     # the extreme weights of large rules underflow to zero; the subnormal
     # floor keeps them positive and moves integrals by well under one ulp
     # of the total mass sqrt(pi)
-    return QuadratureRule(nodes, np.maximum(weights, 5e-324), "gauss-hermite")
+    return QuadratureRule(nodes, np.maximum(weights, 5e-324))
 
 
 class AdaptiveResult(NamedTuple):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emission_dynamics import PulseShape, adiabatic_beta, integrate_amplitudes
-from .ensemble_model import PHASE_VARIANTS, UNIFORM, CloudGeometry, make_profile
-from .far_field import direction_grid, sampled_structure_factor, structure_factor
+from .ensemble_model import PHASE_VARIANTS, CloudGeometry, make_profile
+from .far_field import DirectionGrid, sampled_structure_factor, structure_factor
 from .overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
-from .waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
+from .waist_optimizer import default_bracket, maximize_rows, optimal_waist_analytic
 
 __all__ = [
     "ValidationReport",
@@ -103,11 +103,12 @@ def validate_optimum(trials: int = 20, tol: float = 1e-6, seed: int = 20240818) 
         if _discriminant(sp, sz) < 0.0:
             n_neg += 1
         analytic = optimal_waist_analytic(cloud)
-        numeric = optimal_waist_numeric(
-            cloud, UNIFORM, tol=1e-10,
-            objective=lambda ws, c=cloud: small_cloud_factors(c, ws),
-        )
-        worst = max(worst, abs(analytic.w0_max_bar - numeric.w0_max_bar) / analytic.w0_max_bar)
+        lo, hi = default_bracket(cloud)
+        (numeric,), _, _, (exc,) = maximize_rows(
+            lambda W, cells: small_cloud_factors(cloud, W), [lo], [hi], tol=1e-10)
+        if exc is not None:
+            raise exc
+        worst = max(worst, abs(analytic.w0_max_bar - numeric) / analytic.w0_max_bar)
     report.check(
         f"analytic vs numeric optimum on {trials} points ({n_neg} complex-branch)",
         worst <= tol,
@@ -183,7 +184,7 @@ def validate_far_field(seed: int = 20240819) -> ValidationReport:
         w0 = max(2.0, 2.0 ** stretch * np.sqrt(2.0) * sp)
         profile = make_profile(name, w0)
         # no forward direction: both patterns stay unnormalized
-        directions = direction_grid(_lobe_angles(sp, sz, (0.1, 0.5, 1.5, 3.0)), [0.0])
+        directions = DirectionGrid(_lobe_angles(sp, sz, (0.1, 0.5, 1.5, 3.0)), [0.0])
         exact = structure_factor(cloud, profile, _FAR_FIELD_ATOMS, directions).intensity
         sampled = sampled_structure_factor(cloud, profile, _FAR_FIELD_ATOMS, seed, directions)
         worst = float(np.max(np.abs(sampled.intensity - exact) / sampled.stderr))

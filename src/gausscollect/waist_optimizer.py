@@ -224,15 +224,13 @@ def _status(on_edge: bool, exc: Exception | None) -> str:
     return "edge" if on_edge else "ok"
 
 
-def _optima(clouds, profile: str, tol: float, objective=None):
+def _optima(clouds, profile: str, tol: float):
     """Numeric optimum of every cloud of ``clouds``, and per cloud ``None``
     or the exception that failed it.
 
     Each cloud is searched over its :func:`default_bracket` by one
     :func:`maximize_rows` run; a cloud whose bracket is unsupported, or
     whose row fails, gets a NaN record with a ``"failed: "`` status.
-    ``objective`` replaces the efficiency by a function of the waist
-    array (one cloud only).
     """
     _check_profile_tol(profile, tol)
     n = len(clouds)
@@ -247,12 +245,9 @@ def _optima(clouds, profile: str, tol: float, objective=None):
         else:
             batch.append(i)
     if batch:
-        if objective is None:
-            sp_sq = np.array([clouds[i].sigma_perp_bar ** 2 for i in batch])
-            sz = np.array([clouds[i].sigma_z_bar for i in batch])
-            f = lambda W, cells: geometric_factors(sp_sq[cells], sz[cells], W, profile)
-        else:
-            f = lambda W, cells: objective(W)
+        sp_sq = np.array([clouds[i].sigma_perp_bar ** 2 for i in batch])
+        sz = np.array([clouds[i].sigma_z_bar for i in batch])
+        f = lambda W, cells: geometric_factors(sp_sq[cells], sz[cells], W, profile)
         lo, hi = np.array(brackets).T
         x[batch], g[batch], on_edge[batch], row_errors = maximize_rows(f, lo, hi, tol=tol)
         for i, exc in zip(batch, row_errors):
@@ -266,25 +261,16 @@ def _optima(clouds, profile: str, tol: float, objective=None):
     return records, errors
 
 
-def optimal_waist_numeric(
-    cloud: CloudGeometry,
-    profile: str,
-    tol: float = 1e-6,
-    *,
-    objective=None,
-) -> OptimumRecord:
+def optimal_waist_numeric(cloud: CloudGeometry, profile: str, tol: float = 1e-6) -> OptimumRecord:
     """Numerically maximize the collection efficiency over the waist.
 
     The one-cell case of :func:`optimal_waists`, raising instead of
     recording a failure.  ``profile`` is a phase-variant tag; the
-    compensated variants are re-matched to each trial waist.
-    ``objective`` may replace the efficiency with another function
-    evaluated elementwise over an array of waists, which ``validate``
-    and the tests use to maximize the small-cloud model with the same
-    machinery.  The record's ``status`` is ``"edge"`` when the scan's
-    maximum is the bracket's first or last waist, ``"ok"`` otherwise.
+    compensated variants are re-matched to each trial waist.  The
+    record's ``status`` is ``"edge"`` when the scan's maximum is the
+    bracket's first or last waist, ``"ok"`` otherwise.
     """
-    (record,), (exc,) = _optima([cloud], profile, tol, objective)
+    (record,), (exc,) = _optima([cloud], profile, tol)
     if exc is not None:
         raise exc
     return record

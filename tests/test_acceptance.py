@@ -23,14 +23,18 @@ from gausscollect.ensemble_model import (
     GOUY_COMPENSATED,
     UNIFORM,
     CloudGeometry,
-    PhaseProfile,
     make_profile,
 )
-from gausscollect.far_field import direction_grid, sampled_structure_factor
+from gausscollect.far_field import DirectionGrid, sampled_structure_factor
 from gausscollect.overlap_engine import compute_xi, small_cloud_factors, xi_brute_force
 from gausscollect.cli import main
 from gausscollect.validation import sample_overlap_triples, sample_small_cloud_points
-from gausscollect.waist_optimizer import optimal_waist_analytic, optimal_waist_numeric
+from gausscollect.waist_optimizer import (
+    default_bracket,
+    maximize_rows,
+    optimal_waist_analytic,
+    optimal_waist_numeric,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -89,11 +93,11 @@ def test_criterion_3_analytic_optimum():
             n_negative += 1
         cloud = CloudGeometry(sp, sz)
         analytic = optimal_waist_analytic(cloud)
-        numeric = optimal_waist_numeric(
-            cloud, UNIFORM, tol=1e-10,
-            objective=lambda ws, c=cloud: small_cloud_factors(c, ws),
-        )
-        worst = max(worst, abs(analytic.w0_max_bar - numeric.w0_max_bar) / analytic.w0_max_bar)
+        lo, hi = default_bracket(cloud)
+        (numeric,), _, _, (exc,) = maximize_rows(
+            lambda W, cells: small_cloud_factors(cloud, W), [lo], [hi], tol=1e-10)
+        assert exc is None
+        worst = max(worst, abs(analytic.w0_max_bar - numeric) / analytic.w0_max_bar)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and n_negative >= 10 and elapsed < 30.0
     _report(3, "closed-form optimal waist", ok,
@@ -230,16 +234,16 @@ def test_criterion_8_far_field_coherence():
     sp, sz = 5.0, 50.0
     theta_star = 0.5 / sp
     grid = sampled_structure_factor(
-        CloudGeometry(sp, sz), PhaseProfile.uniform(), 100_000, 42,
-        direction_grid([0.0, theta_star], [0.0]),
+        CloudGeometry(sp, sz), make_profile(UNIFORM), 100_000, 42,
+        DirectionGrid([0.0, theta_star], [0.0]),
     )
     forward_exact = grid.intensity[0, 0] == 1.0
     oracle = math.exp(-(math.sin(theta_star) * sp) ** 2 - ((1 - math.cos(theta_star)) * sz) ** 2)
     z_score = abs(grid.intensity[1, 0] - oracle) / grid.stderr[1, 0]
 
     backward = sampled_structure_factor(
-        CloudGeometry(5.0, 100.0), PhaseProfile.uniform(), 100_000, 11,
-        direction_grid([0.0, math.pi], [0.0]),
+        CloudGeometry(5.0, 100.0), make_profile(UNIFORM), 100_000, 11,
+        DirectionGrid([0.0, math.pi], [0.0]),
     ).intensity[1, 0]
 
     elapsed = time.monotonic() - t0

@@ -121,22 +121,22 @@ class TestPhaseProfiles:
             make_profile(GOUY_COMPENSATED)
 
     def test_uniform_is_zero(self):
-        prof = PhaseProfile.uniform()
+        prof = make_profile(UNIFORM)
         assert phase_at_points(prof, at(1.0, -2.0, 3.0))[0] == 0.0
 
     def test_gouy_value(self):
         beam = BeamGeometry(10.0)
-        prof = PhaseProfile.gouy_compensated(beam)
+        prof = PhaseProfile(GOUY_COMPENSATED, beam)
         assert phase_at_points(prof, at(0, 0, beam.rayleigh_bar))[0] == pytest.approx(-math.pi / 4)
 
     def test_full_gaussian_value(self):
         beam = BeamGeometry(10.0)  # zR = 50, R(zR) = 100
-        prof = PhaseProfile.full_gaussian(beam)
+        prof = PhaseProfile(FULL_GAUSSIAN, beam)
         expect = 4.0 / 200.0 - math.pi / 4.0
         assert phase_at_points(prof, at(2.0, 0.0, 50.0))[0] == pytest.approx(expect, rel=1e-13)
 
     def test_full_gaussian_focus_is_gouy_free(self):
-        prof = PhaseProfile.full_gaussian(BeamGeometry(6.0))
+        prof = PhaseProfile(FULL_GAUSSIAN, BeamGeometry(6.0))
         assert phase_at_points(prof, at(3.0, 1.0, 0.0))[0] == 0.0
 
     @given(
@@ -148,8 +148,8 @@ class TestPhaseProfiles:
     def test_symmetries(self, x, y, z):
         beam = BeamGeometry(8.0)
         pair = np.array([[x, y, z], [x, y, -z]])
-        gouy = phase_at_points(PhaseProfile.gouy_compensated(beam), pair)
+        gouy = phase_at_points(PhaseProfile(GOUY_COMPENSATED, beam), pair)
         assert gouy[0] == pytest.approx(-gouy[1], abs=1e-12)
         # curvature part even in z, Gouy part odd
-        full = phase_at_points(PhaseProfile.full_gaussian(beam), pair)
+        full = phase_at_points(PhaseProfile(FULL_GAUSSIAN, beam), pair)
         assert 0.5 * (full[0] + full[1]) == pytest.approx(0.0, abs=1e-12)

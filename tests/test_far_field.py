@@ -11,7 +11,6 @@ from gausscollect.ensemble_model import (
     GOUY_COMPENSATED,
     UNIFORM,
     CloudGeometry,
-    PhaseProfile,
     make_profile,
     phase_at_points,
     sample_positions,
@@ -20,7 +19,6 @@ from gausscollect.overlap_engine import _graded_edges, _panel_nodes
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 from gausscollect.far_field import (
     DirectionGrid,
-    direction_grid,
     sampled_structure_factor,
     single_atom_intensity,
     structure_factor,
@@ -71,8 +69,8 @@ class TestSampledStructureFactor:
     def test_forward_is_exactly_one_for_uniform(self):
         cloud = CloudGeometry(5.0, 50.0)
         grid = sampled_structure_factor(
-            cloud, PhaseProfile.uniform(), 20_000, 3,
-            direction_grid([0.0, 0.3], [0.0, 1.0]),
+            cloud, make_profile(UNIFORM), 20_000, 3,
+            DirectionGrid([0.0, 0.3], [0.0, 1.0]),
         )
         assert grid.intensity[0, 0] == 1.0
         assert grid.intensity[0, 1] == 1.0
@@ -84,8 +82,8 @@ class TestSampledStructureFactor:
         theta = 0.5 / sp
         cloud = CloudGeometry(sp, sz)
         grid = sampled_structure_factor(
-            cloud, PhaseProfile.uniform(), 100_000, 42,
-            direction_grid([0.0, theta], [0.0]),
+            cloud, make_profile(UNIFORM), 100_000, 42,
+            DirectionGrid([0.0, theta], [0.0]),
         )
         expect = form_factor(theta, sp, sz)
         assert abs(grid.intensity[1, 0] - expect) <= 3.0 * grid.stderr[1, 0]
@@ -93,24 +91,24 @@ class TestSampledStructureFactor:
     def test_backward_suppression(self):
         cloud = CloudGeometry(5.0, 100.0)
         grid = sampled_structure_factor(
-            cloud, PhaseProfile.uniform(), 100_000, 11,
-            direction_grid([0.0, math.pi], [0.0]),
+            cloud, make_profile(UNIFORM), 100_000, 11,
+            DirectionGrid([0.0, math.pi], [0.0]),
         )
         assert grid.intensity[1, 0] < 1e-3
 
     def test_deterministic(self):
         cloud = CloudGeometry(4.0, 40.0)
-        d = direction_grid([0.0, 0.2], [0.0])
-        a = sampled_structure_factor(cloud, PhaseProfile.uniform(), 5000, 9, d)
-        b = sampled_structure_factor(cloud, PhaseProfile.uniform(), 5000, 9, d)
+        d = DirectionGrid([0.0, 0.2], [0.0])
+        a = sampled_structure_factor(cloud, make_profile(UNIFORM), 5000, 9, d)
+        b = sampled_structure_factor(cloud, make_profile(UNIFORM), 5000, 9, d)
         assert np.array_equal(a.intensity, b.intensity)
 
     def test_azimuthal_symmetry(self):
         cloud = CloudGeometry(6.0, 30.0)
         m = 40_000
         grid = sampled_structure_factor(
-            cloud, PhaseProfile.uniform(), m, 5,
-            direction_grid([0.08], np.linspace(0.0, 2 * math.pi, 8, endpoint=False)),
+            cloud, make_profile(UNIFORM), m, 5,
+            DirectionGrid([0.08], np.linspace(0.0, 2 * math.pi, 8, endpoint=False)),
         )
         spread = grid.intensity[0].max() - grid.intensity[0].min()
         assert spread < 5.0 / math.sqrt(m)
@@ -120,7 +118,7 @@ class TestSampledStructureFactor:
         m = 50_000
         grid = sampled_structure_factor(
             cloud, make_profile(GOUY_COMPENSATED, 8.0), m, 21,
-            direction_grid(np.linspace(0.0, math.pi, 12), [0.0]),
+            DirectionGrid(np.linspace(0.0, math.pi, 12), [0.0]),
         )
         # raw values are normalized by the forward cell; undo to check the bound
         raw = grid.intensity * grid.forward_value
@@ -128,11 +126,11 @@ class TestSampledStructureFactor:
 
     def test_doubling_samples_halves_incoherent_floor(self):
         cloud = CloudGeometry(5.0, 100.0)
-        d = direction_grid([math.pi], [0.0])
+        d = DirectionGrid([math.pi], [0.0])
         floors = {}
         for m in (4000, 8000):
             vals = [
-                sampled_structure_factor(cloud, PhaseProfile.uniform(), m, seed, d).intensity[0, 0]
+                sampled_structure_factor(cloud, make_profile(UNIFORM), m, seed, d).intensity[0, 0]
                 for seed in range(24)
             ]
             floors[m] = np.mean(vals)
@@ -143,7 +141,7 @@ class TestSampledStructureFactor:
         cloud = CloudGeometry(4.0, 60.0)
         grid = sampled_structure_factor(
             cloud, make_profile(GOUY_COMPENSATED, 9.0), 20_000, 2,
-            direction_grid([0.0, 0.1], [0.0]),
+            DirectionGrid([0.0, 0.1], [0.0]),
         )
         # imprinted phase de-coheres the plane-wave forward sum
         assert grid.forward_value < 1.0
@@ -194,7 +192,7 @@ def test_blocked_moments_match_unblocked_formulas(variant, count):
     # raw (unshifted) moments lose the variance to cancellation
     cloud = CloudGeometry(5.0, 50.0)
     profile = make_profile(variant, 9.0)
-    grid = sampled_structure_factor(cloud, profile, count, 17, direction_grid(_THETAS, _PHIS))
+    grid = sampled_structure_factor(cloud, profile, count, 17, DirectionGrid(_THETAS, _PHIS))
     intensity, stderr = structure_factor_reference(cloud, profile, count, 17, _THETAS, _PHIS)
     assert np.max(np.abs(grid.intensity - intensity)) <= 1e-12
     assert np.max(np.abs(grid.stderr - stderr)) <= 1e-12
@@ -282,8 +280,8 @@ class TestStructureFactor:
     def test_uniform_is_the_closed_form(self):
         sp, sz, n = 3.0, 40.0, 500
         thetas = np.linspace(0.0, math.pi, 9)
-        grid = structure_factor(CloudGeometry(sp, sz), PhaseProfile.uniform(), n,
-                                direction_grid(thetas, [0.0, 2.0]))
+        grid = structure_factor(CloudGeometry(sp, sz), make_profile(UNIFORM), n,
+                                DirectionGrid(thetas, [0.0, 2.0]))
         coherent = np.array([form_factor(t, sp, sz) for t in thetas])
         expect = coherent + (1.0 - coherent) / n
         assert_allclose(unnormalized(grid), np.column_stack([expect, expect]), rtol=1e-14)
@@ -292,7 +290,7 @@ class TestStructureFactor:
     def test_forward_is_exactly_one(self, variant):
         n = 1000
         grid = structure_factor(CloudGeometry(4.0, 60.0), make_profile(variant, 9.0), n,
-                                direction_grid([0.0, 0.1, 2.0], [0.0, 1.0, 3.0]))
+                                DirectionGrid([0.0, 0.1, 2.0], [0.0, 1.0, 3.0]))
         assert np.all(grid.intensity[0] == 1.0)
         # the normalization keeps the forward value |E_0|^2 + (1 - |E_0|^2) / N
         assert 1.0 / n < grid.forward_value <= 1.0
@@ -306,30 +304,30 @@ class TestStructureFactor:
     @pytest.mark.parametrize("variant", _VARIANTS)
     def test_no_azimuthal_dependence(self, variant):
         grid = structure_factor(CloudGeometry(6.0, 30.0), make_profile(variant, 12.0), 100,
-                                direction_grid([0.0, 0.08, 1.0],
+                                DirectionGrid([0.0, 0.08, 1.0],
                                                np.linspace(0.0, 2 * math.pi, 8, endpoint=False)))
         assert np.all(grid.intensity == grid.intensity[:, :1])
 
     def test_incoherent_floor_is_one_over_n(self):
         # far outside the coherent lobe |E|^2 underflows: S = 1 / N
         for n in (1, 7, 10_000):
-            grid = structure_factor(CloudGeometry(5.0, 100.0), PhaseProfile.uniform(), n,
-                                    direction_grid([0.0, math.pi], [0.0]))
+            grid = structure_factor(CloudGeometry(5.0, 100.0), make_profile(UNIFORM), n,
+                                    DirectionGrid([0.0, math.pi], [0.0]))
             assert grid.intensity[1, 0] == pytest.approx(1.0 / n, rel=1e-15)
 
     def test_repeatable(self):
-        d = direction_grid(np.linspace(0.0, math.pi, 7), [0.0])
+        d = DirectionGrid(np.linspace(0.0, math.pi, 7), [0.0])
         profile = make_profile(FULL_GAUSSIAN, 8.0)
         a = structure_factor(CloudGeometry(4.0, 40.0), profile, 50, d)
         b = structure_factor(CloudGeometry(4.0, 40.0), profile, 50, d)
         assert np.array_equal(a.intensity, b.intensity)
 
     def test_rejects_pancake_and_empty_ensembles(self):
-        d = direction_grid([0.0], [0.0])
+        d = DirectionGrid([0.0], [0.0])
         with pytest.raises(ValueError):
-            structure_factor(CloudGeometry(4.0, 0.0), PhaseProfile.uniform(), 10, d)
+            structure_factor(CloudGeometry(4.0, 0.0), make_profile(UNIFORM), 10, d)
         with pytest.raises(ValueError):
-            structure_factor(CloudGeometry(4.0, 4.0), PhaseProfile.uniform(), 0, d)
+            structure_factor(CloudGeometry(4.0, 4.0), make_profile(UNIFORM), 0, d)
 
 
 def assert_matches_real_axis_reference(cloud, profile):
@@ -362,12 +360,12 @@ def test_sampled_pattern_scatters_around_the_exact_one():
     # there, by up to sqrt(3).  Without the second-order term it vanishes
     # with the sampled mean, and |z| reaches about 15 here.
     cloud = CloudGeometry(2.135, 23.223)
-    d = direction_grid(np.linspace(0.05, math.pi, 12), [0.0])
+    d = DirectionGrid(np.linspace(0.05, math.pi, 12), [0.0])
     count = 2000
-    exact = structure_factor(cloud, PhaseProfile.uniform(), count, d).intensity
+    exact = structure_factor(cloud, make_profile(UNIFORM), count, d).intensity
     z = np.array([
         (grid.intensity - exact) / grid.stderr
-        for grid in (sampled_structure_factor(cloud, PhaseProfile.uniform(), count, seed, d)
+        for grid in (sampled_structure_factor(cloud, make_profile(UNIFORM), count, seed, d)
                      for seed in range(20))
     ])
     assert np.max(np.abs(z)) < 5.0
@@ -386,7 +384,7 @@ def test_axial_panels_grow_logarithmically_in_cloud_length():
 def test_direction_blocks_bound_the_temporaries():
     import tracemalloc
 
-    d = direction_grid(np.linspace(0.0, math.pi, 2000),
+    d = DirectionGrid(np.linspace(0.0, math.pi, 2000),
                        np.linspace(0.0, 2 * math.pi, 4, endpoint=False))
     cloud, profile = CloudGeometry(5.0, 400.0), make_profile(FULL_GAUSSIAN, 6.0)
     structure_factor(cloud, profile, 1000, d)

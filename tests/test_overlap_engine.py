@@ -11,7 +11,6 @@ from gausscollect.ensemble_model import (
     GOUY_COMPENSATED,
     UNIFORM,
     CloudGeometry,
-    PhaseProfile,
     make_profile,
 )
 from gausscollect.overlap_engine import (
@@ -58,7 +57,7 @@ class TestSmallCloud:
     def test_small_cloud_error_budget_outside_regime(self):
         # sigma_z ~ zR here, so the flat-phase model is only good to a factor
         cloud = CloudGeometry(3.0, 20.0)
-        oracle = xi_brute_force(cloud, 6.0, PhaseProfile.uniform())
+        oracle = xi_brute_force(cloud, 6.0, make_profile(UNIFORM))
         ratio = oracle.xi_abs_sq / small_cloud_xi_abs_sq(cloud, 6.0)
         assert 0.5 < ratio < 2.0
 
@@ -72,7 +71,7 @@ class TestUniform:
     def test_against_brute_force(self):
         cloud = CloudGeometry(5.0, 100.0)
         fast = compute_xi(cloud, 10.0, UNIFORM)
-        oracle = xi_brute_force(cloud, 10.0, PhaseProfile.uniform())
+        oracle = xi_brute_force(cloud, 10.0, make_profile(UNIFORM))
         assert rel(fast.xi_abs_sq, oracle.xi_abs_sq) < 1e-6
         assert abs(fast.xi - oracle.xi) < 1e-8
 
@@ -139,7 +138,7 @@ class TestBruteForce:
     def test_is_exact_against_closed_form(self):
         # the uniform-phase closed form is exact, so this pins the oracle
         cloud = CloudGeometry(8.0, 40.0)
-        oracle = xi_brute_force(cloud, 14.0, PhaseProfile.uniform())
+        oracle = xi_brute_force(cloud, 14.0, make_profile(UNIFORM))
         exact = compute_xi(cloud, 14.0, UNIFORM)
         assert abs(oracle.xi - exact.xi) < 1e-11
 
@@ -159,7 +158,7 @@ class TestBruteForce:
 
     def test_rejects_pancake(self):
         with pytest.raises(ValueError):
-            xi_brute_force(CloudGeometry(1.0, 0.0), 3.0, PhaseProfile.uniform())
+            xi_brute_force(CloudGeometry(1.0, 0.0), 3.0, make_profile(UNIFORM))
 
     def test_rejects_profile_of_another_waist(self):
         cloud = CloudGeometry(3.0, 20.0)
@@ -326,7 +325,7 @@ class TestBatchedKernel:
     def test_oracles_reject_a_vanishing_rayleigh_length(self):
         cloud = CloudGeometry(1.0, 1.0)
         with pytest.raises(ValueError, match="first breakpoint"):
-            _graded_edges(0.0, 1.0)
+            _graded_edges(0.0, 1.0, 1.6)
         with pytest.raises(ValueError, match="Rayleigh length"):
             xi_gouy_compensated_curvature_form(cloud, 1e-200)
         for variant in VARIANTS:
@@ -371,8 +370,8 @@ class TestPresetBoxProperties:
     @given(preset_sp, preset_sz, st.floats(-1.0, math.log10(30.0)))
     @settings(max_examples=30, deadline=None)
     def test_gouy_forms_agree(self, sp, sz, log_ratio):
-        # sz / zR from 0.1 to 30: the long clouds defeat the Hermite rule of
-        # the curvature form and take its adaptive fallback
+        # sz / zR from 0.1 to 30: clouds far shorter and far longer than
+        # the Rayleigh length
         w0 = math.sqrt(2.0 * sz / 10.0 ** log_ratio)
         cloud = CloudGeometry(sp, sz)
         a = compute_xi(cloud, w0, GOUY_COMPENSATED)

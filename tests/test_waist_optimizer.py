@@ -30,8 +30,14 @@ def cloud_factors(cloud, ws, profile):
                              np.atleast_2d(ws), profile)[0]
 
 
-def small_cloud_objective(cloud):
-    return lambda ws: small_cloud_factors(cloud, ws)
+def small_cloud_optimum(cloud, tol):
+    """Waist maximizing the small-cloud model on the cloud's default
+    bracket, as ``validate`` finds it."""
+    lo, hi = default_bracket(cloud)
+    (w,), _, _, (exc,) = maximize_rows(
+        lambda W, cells: small_cloud_factors(cloud, W), [lo], [hi], tol=tol)
+    assert exc is None
+    return w
 
 
 def maximize_scalar_reference(f, lo, hi, tol):
@@ -108,19 +114,15 @@ class TestAnalyticOptimum:
     def test_matches_golden_section_positive_branch(self):
         cloud = CloudGeometry(3.0, 4.0)
         ana = optimal_waist_analytic(cloud)
-        num = optimal_waist_numeric(
-            cloud, UNIFORM, tol=1e-10, objective=small_cloud_objective(cloud)
-        )
-        assert abs(ana.w0_max_bar - num.w0_max_bar) / ana.w0_max_bar < 1e-7
+        num = small_cloud_optimum(cloud, 1e-10)
+        assert abs(ana.w0_max_bar - num) / ana.w0_max_bar < 1e-7
 
     def test_matches_golden_section_complex_branch(self):
         cloud = CloudGeometry(1.0, 50.0)
         assert 1.0 + 22.0 * 2500.0 - 4.0 * 50.0**4 < 0.0  # discriminant sign
         ana = optimal_waist_analytic(cloud)
-        num = optimal_waist_numeric(
-            cloud, UNIFORM, tol=1e-10, objective=small_cloud_objective(cloud)
-        )
-        assert abs(ana.w0_max_bar - num.w0_max_bar) / ana.w0_max_bar < 1e-6
+        num = small_cloud_optimum(cloud, 1e-10)
+        assert abs(ana.w0_max_bar - num) / ana.w0_max_bar < 1e-6
 
     def test_record_invariant(self):
         rec = optimal_waist_analytic(CloudGeometry(2.5, 8.0))
@@ -179,12 +181,15 @@ class TestNumericOptimum:
         with pytest.raises(ValueError):
             optimal_waist_numeric(cloud, "bespoke")
 
-    @pytest.mark.parametrize("objective", [lambda w: 1.0 / w, lambda w: w],
-                             ids=["lower", "upper"])
-    def test_scan_maximum_on_bracket_end_flagged(self, objective):
-        rec = optimal_waist_numeric(CloudGeometry(2.0, 5.0), UNIFORM, objective=objective)
+    @pytest.mark.parametrize("variant", [UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_long_thin_cloud_peaks_on_the_bracket_end(self, variant):
+        # a cloud 1e4 widths long: the efficiency still grows at the
+        # bracket's upper end 50 sqrt(2) sigma_perp
+        cloud = CloudGeometry(0.1, 1000.0)
+        rec = optimal_waist_numeric(cloud, variant)
         assert rec.status == "edge"
-        assert math.isfinite(rec.w0_max_bar) and math.isfinite(rec.g_max)
+        assert rec.w0_max_bar == default_bracket(cloud)[1]
+        assert math.isfinite(rec.g_max) and rec.g_max > 0.0
 
     @pytest.mark.parametrize("variant, stride", [
         (UNIFORM, 1), (GOUY_COMPENSATED, 3), (FULL_GAUSSIAN, 3),
@@ -270,6 +275,15 @@ class TestMaximizeRows:
         assert fx[0] == pytest.approx(7.0, abs=1e-14)
         assert not on_edge[0]
 
+    @pytest.mark.parametrize("f, end", [
+        (lambda W, cells: 1.0 / W, 0), (lambda W, cells: W, 1),
+    ], ids=["lower", "upper"])
+    def test_scan_maximum_on_bracket_end_flagged(self, f, end):
+        x, fx, on_edge, errors = maximize_rows(f, [0.5], [20.0])
+        assert errors == [None] and on_edge[0]
+        assert x[0] == (0.5, 20.0)[end]
+        assert math.isfinite(fx[0])
+
     def test_flat_objective_fails(self):
         _, fx, _, errors = maximize_rows(lambda W, cells: np.ones_like(W), [1.0], [10.0])
         assert isinstance(errors[0], OptimizationError)
@@ -331,6 +345,14 @@ class TestSweep:
             for ra, rb in zip(row_a, row_b):
                 assert ra.w0_max_bar == rb.w0_max_bar
                 assert ra.g_max == rb.g_max
+
+    def test_edge_cell_beside_an_ok_cell(self):
+        # one row: the short cloud peaks inside its bracket, the long one
+        # on the bracket's upper end, and both carry their values
+        ((short, long),) = sweep([0.1], [10.0, 1000.0], UNIFORM, 1e-6)
+        assert (short.status, long.status) == ("ok", "edge")
+        assert short.w0_max_bar == pytest.approx(4.303, abs=5e-4)
+        assert long.w0_max_bar == pytest.approx(50.0 * math.sqrt(2.0) * 0.1, rel=1e-15)
 
     def test_narrow_short_corner_collects_well(self):
         # N * G of a few and above in the narrow/short corner
