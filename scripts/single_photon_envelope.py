@@ -21,7 +21,7 @@ from gausscollect.waist_optimizer import optimal_waist_numeric
 
 def run(sp: float, sz: float, n_atoms: int, rabi: float, out_dir: pathlib.Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cloud = CloudGeometry(sp, sz, n_atoms)
+    cloud = CloudGeometry(sp, sz)
     pulse = PulseShape.constant(rabi)
     # five pump e-foldings: B(t_end) = 1 - e^-5, so n(t_end) is about 99.3%
     # of G*N, not the fully transferred value
@@ -29,7 +29,7 @@ def run(sp: float, sz: float, n_atoms: int, rabi: float, out_dir: pathlib.Path) 
     t = np.linspace(0.0, t_end, 2001)
     for variant in PHASE_VARIANTS:
         best = optimal_waist_numeric(cloud, variant)
-        curve = photon_number(cloud, variant, best.w0_max_bar, pulse, t)
+        curve = photon_number(cloud, variant, best.w0_max_bar, pulse, t, n_atoms)
         target = out_dir / f"envelope_{variant}.csv"
         header = "t,beta,big_b,n"
         data = np.column_stack([curve.times, curve.beta, curve.big_b, curve.n])

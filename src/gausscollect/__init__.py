@@ -13,7 +13,6 @@ from .ensemble_model import (
 from .overlap_engine import (
     OverlapResult,
     compute_xi,
-    geometric_factor,
     geometric_factors,
     small_cloud_factors,
     xi_brute_force,
@@ -35,7 +34,6 @@ __all__ = [
     "PHASE_VARIANTS",
     "OverlapResult",
     "compute_xi",
-    "geometric_factor",
     "geometric_factors",
     "small_cloud_factors",
     "xi_brute_force",

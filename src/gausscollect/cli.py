@@ -430,15 +430,15 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(config: argparse.Namespace) -> int:
-    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar, config.n_atoms)
+    cloud = CloudGeometry(config.sigma_perp_bar, config.sigma_z_bar)
     pulse, t_grid = _dynamics_drive(config)
-    curve = photon_number(cloud, config.phase, config.waist_bar, pulse, t_grid)
+    curve = photon_number(cloud, config.phase, config.waist_bar, pulse, t_grid, config.n_atoms)
     header = ["t", "beta", "big_b", "n"]
     rows = [
         [float(t), float(b), float(bb), float(n)]
         for t, b, bb, n in zip(curve.times, curve.beta, curve.big_b, curve.n)
     ]
-    n_inf = curve.g_factor * cloud.n_atoms
+    n_inf = curve.g_factor * config.n_atoms
     extra = {
         "g_factor": curve.g_factor,
         "n_infinity": n_inf,

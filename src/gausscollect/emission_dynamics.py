@@ -66,7 +66,8 @@ class PulseShape:
                 f"Rabi amplitude {self.amplitude} is not small against the decay "
                 "rate; the adiabatic envelope is only qualitative there",
                 UserWarning,
-                stacklevel=2,
+                # past __post_init__ and the dataclass-generated __init__
+                stacklevel=3,
             )
 
     @classmethod
@@ -224,8 +225,10 @@ def photon_number(
     w0_bar: float,
     pulse: PulseShape,
     t_grid,
+    n_atoms: int,
 ) -> EmissionCurve:
-    """Photon number collected into the forward Gaussian modes vs time.
+    """Photon number collected from ``n_atoms`` atoms into the forward
+    Gaussian modes vs time.
 
     ``n(t) = G N B(t)``: the overlap evaluator selected by the phase
     variant supplies ``G``, the adiabatic envelope supplies ``B``.  The
@@ -233,9 +236,11 @@ def photon_number(
     stored excitation; it is reported as-is even above 1 (it is a
     collection figure of merit, not a probability).
     """
+    if n_atoms < 1:
+        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
     overlap = compute_xi(cloud, w0_bar, profile)
     curve = adiabatic_beta(pulse, t_grid)
-    n = overlap.geometric_factor * cloud.n_atoms * curve.big_b
+    n = overlap.geometric_factor * n_atoms * curve.big_b
     return EmissionCurve(
         times=curve.times,
         beta=curve.beta,

@@ -29,7 +29,6 @@ __all__ = [
     "CloudGeometry",
     "PhaseProfile",
     "make_profile",
-    "density",
     "sample_positions",
     "phase_at_points",
 ]
@@ -42,11 +41,10 @@ PHASE_VARIANTS = (UNIFORM, GOUY_COMPENSATED, FULL_GAUSSIAN)
 
 @dataclass(frozen=True)
 class CloudGeometry:
-    """Gaussian atomic cloud: width, length (standard deviations), atom count."""
+    """Gaussian atomic cloud: width and length (standard deviations)."""
 
     sigma_perp_bar: float
     sigma_z_bar: float
-    n_atoms: int = 1
 
     def __post_init__(self):
         sp = float(self.sigma_perp_bar)
@@ -55,11 +53,8 @@ class CloudGeometry:
             raise ValueError(f"sigma_perp_bar must be positive, got {sp!r}")
         if not math.isfinite(sz) or sz < 0.0:
             raise ValueError(f"sigma_z_bar must be non-negative, got {sz!r}")
-        if int(self.n_atoms) < 1:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms!r}")
         object.__setattr__(self, "sigma_perp_bar", sp)
         object.__setattr__(self, "sigma_z_bar", sz)
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
 
 
 @dataclass(frozen=True)
@@ -91,21 +86,6 @@ def make_profile(variant: str, w0_bar: float | None = None) -> PhaseProfile:
     if w0_bar is None:
         raise ValueError(f"{variant} profile needs the collection-beam waist")
     return PhaseProfile(variant, BeamGeometry(w0_bar))
-
-
-def density(cloud: CloudGeometry, xyz) -> np.ndarray:
-    """Atom number density at an ``(n, 3)`` position array, in wavenumber^3 units.
-
-    Normalized so the volume integral equals ``n_atoms``.  The pancake
-    limit ``sigma_z_bar = 0`` has no finite density and is rejected.
-    """
-    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
-    if sz == 0.0:
-        raise ValueError("density is undefined for sigma_z_bar = 0 (pancake limit)")
-    x, y, z = np.asarray(xyz, dtype=float).T
-    rho_sq = x * x + y * y
-    norm = (2.0 * math.pi) ** 1.5 * sp * sp * sz
-    return cloud.n_atoms * np.exp(-rho_sq / (2.0 * sp * sp) - z * z / (2.0 * sz * sz)) / norm
 
 
 def sample_positions(cloud: CloudGeometry, count: int, seed: int) -> np.ndarray:

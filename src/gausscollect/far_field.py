@@ -1,12 +1,11 @@
 """Far-field radiation pattern of the prepared ensemble.
 
-Two views of the emitted field: the retarded spherical-wave intensity of
-a single decaying emitter, and the structure factor of the whole cloud,
+One view of the emitted field: the structure factor of the whole cloud,
 the normalized squared coherent sum of the per-atom phasors
-``exp(i [(z_hat - n_hat) . r_j + phi(r_j)])``.  The structure factor
-measures directionality: it is 1 in the phase-matched forward direction
-for a uniform stored phase and falls off with the Gaussian form factor
-of the density.
+``exp(i [(z_hat - n_hat) . r_j + phi(r_j)])``.  It measures
+directionality: it is 1 in the phase-matched forward direction for a
+uniform stored phase and falls off with the Gaussian form factor of the
+density.
 
 :func:`structure_factor` gives its exact ensemble mean for ``N`` atoms,
 ``S = |E|^2 + (1 - |E|^2) / N`` with the mean phasor
@@ -17,11 +16,11 @@ for the compensated ones; see :func:`_mean_phasor`.
 :func:`sampled_structure_factor` estimates the same pattern by Monte
 Carlo over sampled atom positions and is its oracle.
 
-Far-field linearization is used throughout the ensemble part (phase
-``n_hat . r_j``, common ``1/r`` amplitude); the single-emitter intensity
-keeps the exact retardation.  The envelope is evaluated at the common
-retarded time: the cloud transit time is negligible against the decay
-time for the cloud sizes of interest.
+Far-field linearization is used throughout (phase ``n_hat . r_j``,
+common ``1/r`` amplitude), and every atom is taken to emit at one
+common retarded time: the cloud transit time is negligible against the
+decay time for the cloud sizes of interest, so the pattern does not
+depend on time.
 """
 
 from __future__ import annotations
@@ -40,13 +39,10 @@ from .ensemble_model import (
     phase_at_points,
     sample_positions,
 )
-from .emission_dynamics import AmplitudeTrajectory
-from .overlap_engine import _CUT_SIGMAS, _SQRT_2PI, _graded_edges, _legendre_rule
-from .special_math import QuadratureError
+from .special_math import CUT_SIGMAS, SQRT_2PI, QuadratureError, graded_edges, legendre_rule
 
 __all__ = [
     "DirectionGrid",
-    "single_atom_intensity",
     "structure_factor",
     "sampled_structure_factor",
 ]
@@ -109,22 +105,6 @@ class DirectionGrid:
             object.__setattr__(self, "intensity", inten)
 
 
-def single_atom_intensity(r_bar: float, t, trajectory: AmplitudeTrajectory):
-    """Spherical-wave intensity of one emitter, in photon-energy x decay-rate units.
-
-    ``I = (1 / 4 pi r^2) * (1/2) * |b(t - r)|^2`` with the retarded time
-    in the natural units where the propagation speed is 1; causally zero
-    before the wavefront arrives.  ``t`` may be an array.
-    """
-    if r_bar <= 0.0:
-        raise ValueError(f"r_bar must be positive, got {r_bar!r}")
-    t = np.asarray(t, dtype=float)
-    t_ret = t - r_bar
-    b_sq = np.interp(t_ret, trajectory.times, np.abs(trajectory.b_values) ** 2)
-    out = np.where(t_ret < 0.0, 0.0, b_sq / (8.0 * np.pi * r_bar * r_bar))
-    return out if out.ndim else float(out)
-
-
 def _normalized(directions: DirectionGrid, intensity, stderr=None) -> DirectionGrid:
     """The grid of ``intensity`` (and ``stderr``), divided by its forward value."""
     forward = None
@@ -154,7 +134,7 @@ def _filon_matrix() -> np.ndarray:
     exactly, through ``integral P_n(x) exp(i omega x) dx = 2 i^n j_n(omega)``.
     Its accuracy is that of the interpolant, whatever ``omega``.
     """
-    x, w = _legendre_rule(_FILON_ORDER)
+    x, w = legendre_rule(_FILON_ORDER)
     n = np.arange(_FILON_ORDER)
     legendre = np.polynomial.legendre.legvander(x, _FILON_ORDER - 1).T
     matrix = ((2 * n + 1) * 1j ** n)[:, None] * legendre * w[None, :]
@@ -196,10 +176,10 @@ def _axial_edges(sp_sq: float, sz: float, zr: float, spread_max: float | None):
     the cloud width).
     """
     h0 = max(min(zr, sz) / (4.0 * sz), _MIN_CORE)
-    edges = np.array(_graded_edges(h0, _CUT_SIGMAS, _FILON_RATIO))
+    edges = np.array(graded_edges(h0, CUT_SIGMAS, _FILON_RATIO))
     if spread_max is None:
         return edges
-    x, _ = _legendre_rule(_FILON_ORDER)
+    x, _ = legendre_rule(_FILON_ORDER)
     lo, width = edges[:-1], np.diff(edges)
     v = lo[:, None] + 0.5 * width[:, None] * (1.0 + x[None, :])
     rate = _full_phase_rate(v, sp_sq, sz, zr, spread_max).max(axis=1)
@@ -245,11 +225,11 @@ def _mean_phasor(cloud: CloudGeometry, profile: PhaseProfile, thetas: np.ndarray
     edges = _axial_edges(sp_sq, sz, zr, float(spread.max()) if full else None)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    x, _ = _legendre_rule(_FILON_ORDER)
+    x, _ = legendre_rule(_FILON_ORDER)
     v = mid[:, None] + half[:, None] * x[None, :]
     gouy = np.arctan2(sz * v, zr)
     # standard normal density in v times exp(-i arctan(z / zR))
-    f = np.exp(-0.5 * v * v - 1j * gouy) / _SQRT_2PI
+    f = np.exp(-0.5 * v * v - 1j * gouy) / SQRT_2PI
     if full:
         d = 1.0 - 0.5j * (sp_sq / zr) * np.sin(2.0 * gouy)
         f = f / d

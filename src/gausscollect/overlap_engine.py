@@ -42,7 +42,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfcx
@@ -55,26 +54,27 @@ from .ensemble_model import (
     CloudGeometry,
     PhaseProfile,
 )
-from .special_math import QuadratureError, integrate_adaptive
+from .special_math import (
+    CUT_SIGMAS,
+    SQRT_2PI,
+    QuadratureError,
+    graded_edges,
+    integrate_adaptive,
+    legendre_rule,
+    panel_nodes,
+)
 # gauss_hermite is not called here, but perfbench/layers.py wraps this attribute
 from .special_math import gauss_hermite  # noqa: F401
 
 __all__ = [
     "OverlapResult",
     "check_waists",
-    "geometric_factor",
     "geometric_factors",
     "small_cloud_factors",
     "xi_gouy_compensated_curvature_form",
     "xi_brute_force",
     "compute_xi",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# truncation half-width of Gaussian-weighted domains, in standard deviations;
-# the neglected tail is below exp(-8.5^2/2) ~ 2e-16 of the envelope
-_CUT_SIGMAS = 8.5
 
 # the fixed axial rule: Gauss-Legendre panels of this order, growing by
 # this ratio away from the focus
@@ -86,8 +86,9 @@ _AXIAL_RATIO = 1.6
 _BRUTE_FORCE_TARGET = 1e-10
 _CURVATURE_TOL = 1e-10
 
-# past this argument sqrt(pi) x erfcx(x) equals 1 to double precision,
-# so the uniform closed form is the exact pancake overlap there
+# past this argument sqrt(pi) x erfcx(x) is 1 to rounding (at 1e100 it
+# evaluates to 0.9999999999999998, 2 ulp below 1), so the uniform closed
+# form is the pancake overlap there to 2 ulp
 _UNIFORM_PANCAKE_ARG = 1e100
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -110,59 +111,10 @@ class OverlapResult:
     def from_xi(cls, xi: complex, w0_bar: float, method: str) -> "OverlapResult":
         xi = complex(xi)
         if not cmath.isfinite(xi):
-            raise QuadratureError(f"non-finite overlap {xi!r} at w0_bar = {w0_bar!r}", value=xi)
+            raise QuadratureError(f"non-finite overlap {xi!r} at w0_bar = {w0_bar!r}")
         xi_abs_sq = abs(xi) ** 2
         _check_normalized(xi_abs_sq)
-        return cls(xi, xi_abs_sq, geometric_factor(xi_abs_sq, w0_bar), method)
-
-
-def geometric_factor(xi_abs_sq: float, w0_bar: float) -> float:
-    """Per-atom collection efficiency ``6 |xi|^2 / w0_bar**2``.
-
-    The factor is the atomic resonant absorption cross-section divided
-    by the focal cross-section of the beam, written in wavenumber-scaled
-    units where both areas are dimensionless.
-    """
-    check_waists(w0_bar)
-    if xi_abs_sq < 0.0:
-        raise ValueError(f"xi_abs_sq must be non-negative, got {xi_abs_sq!r}")
-    return 6.0 * xi_abs_sq / (w0_bar * w0_bar)
-
-
-# ---------------------------------------------------------------------------
-# panel rules
-# ---------------------------------------------------------------------------
-
-def _graded_edges(h0: float, limit: float, ratio: float) -> list[float]:
-    """Symmetric breakpoints growing geometrically from the origin to +-limit."""
-    if not h0 > 0.0:
-        raise ValueError(f"the first breakpoint must be positive, got {h0!r}")
-    pts = [0.0, limit]
-    x = h0
-    while x < limit:
-        pts.append(x)
-        x *= ratio
-    return sorted({-p for p in pts} | set(pts))
-
-
-@lru_cache(maxsize=64)
-def _legendre_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _panel_nodes(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
-    base_x, base_w = _legendre_rule(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+        return cls(xi, xi_abs_sq, 6.0 * xi_abs_sq / (w0_bar * w0_bar), method)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +136,9 @@ def _axial_rule(sigma_z: float, zeta_min: float):
     the shortest Rayleigh length ``zeta_min`` the rule serves.
     """
     h0 = min(zeta_min, sigma_z) / 4.0
-    edges = np.array(_graded_edges(h0, _CUT_SIGMAS * sigma_z, _AXIAL_RATIO))
-    z, w = _panel_nodes(edges[edges >= 0.0], _AXIAL_ORDER)
-    density = np.exp(-z * z / (2.0 * sigma_z * sigma_z)) * (2.0 / (_SQRT_2PI * sigma_z))
+    edges = np.array(graded_edges(h0, CUT_SIGMAS * sigma_z, _AXIAL_RATIO))
+    z, w = panel_nodes(edges[edges >= 0.0], _AXIAL_ORDER)
+    density = np.exp(-z * z / (2.0 * sigma_z * sigma_z)) * (2.0 / (SQRT_2PI * sigma_z))
     return z, w * density
 
 
@@ -349,11 +301,11 @@ def xi_gouy_compensated_curvature_form(cloud: CloudGeometry, w0_bar: float) -> O
         smooth = np.sqrt(w_sq) / (w_sq + 2.0 * sp_sq + 1j * w_sq * sp_sq * inv_r)
         return np.exp(-z * z / (2.0 * sz * sz)) * smooth
 
-    limit = _CUT_SIGMAS * sz
-    breaks = _graded_edges(min(zeta, sz) / 4.0, limit, _AXIAL_RATIO)
+    limit = CUT_SIGMAS * sz
+    breaks = graded_edges(min(zeta, sz) / 4.0, limit, _AXIAL_RATIO)
     integral = integrate_adaptive(integrand, -limit, limit, _CURVATURE_TOL,
                                   breakpoints=breaks).value
-    xi = -1j * (w0_bar / (_SQRT_2PI * sz)) * integral
+    xi = -1j * (w0_bar / (SQRT_2PI * sz)) * integral
     return OverlapResult.from_xi(xi, w0_bar, "quadrature")
 
 
@@ -362,14 +314,14 @@ def _brute_force_level(
 ) -> complex:
     order = 16 + 4 * level
     h0 = min(zeta, sz) / (6.0 * 1.5 ** level)
-    z_edges = np.array(_graded_edges(h0, _CUT_SIGMAS * sz, ratio=1.4))
+    z_edges = np.array(graded_edges(h0, CUT_SIGMAS * sz, ratio=1.4))
     phase_budget = 5.0 / (1.4 ** level)
 
     sp_sq = sp * sp
-    u_max = (_CUT_SIGMAS * sp) ** 2
+    u_max = (CUT_SIGMAS * sp) ** 2
 
     # every axial panel at once, one row of nodes per panel
-    z, wz = _panel_nodes(z_edges, order)
+    z, wz = panel_nodes(z_edges, order)
     q = z + 1j * zeta
     abs_q_sq = z * z + zeta * zeta
     # radial exponent rate: cloud + mode decay, mode transverse phase
@@ -391,7 +343,7 @@ def _brute_force_level(
     # radial integral (1/2) integral exp(-u s) du on the nodes
     # u = p step + c_j of panels p < P: exp(-(p step + c_j) s) = exp(-c_j s) r^p
     # with r = exp(-step s), and the sum over p is (1 - r^P) / (1 - r)
-    base_x, base_w = _legendre_rule(order)
+    base_x, base_w = legendre_rule(order)
     offsets = 0.5 * step * (1.0 + base_x)
     inner = np.exp(-offsets[:, None, :] * s_eff[:, :, None]) @ base_w
     rate = step * s_eff
@@ -399,7 +351,7 @@ def _brute_force_level(
     radial = 0.25 * step * inner * panels_sum
     total = np.sum(wz * factor * radial.ravel())
 
-    pref = 1.0 / (_SQRT_2PI * sp_sq * sz)
+    pref = 1.0 / (SQRT_2PI * sp_sq * sz)
     return pref * total
 
 
@@ -435,6 +387,4 @@ def xi_brute_force(cloud: CloudGeometry, w0_bar: float, profile: PhaseProfile) -
         prev = val
     raise QuadratureError(
         f"brute-force overlap did not stabilize to {_BRUTE_FORCE_TARGET:g} "
-        f"(last change {change:.3e})",
-        value=val,
-    )
+        f"(last change {change:.3e})")

@@ -1,4 +1,11 @@
-"""Quadrature primitives on scipy, for the oracles and the tests.
+"""Quadrature primitives: graded Gauss-Legendre panels, and scipy rules
+for the oracles and the tests.
+
+:func:`graded_edges`, :func:`legendre_rule` and :func:`panel_nodes`
+build the panel meshes on which the overlap engine's axial rule and
+brute-force oracle and the far field's Filon rule integrate, each on
+Gaussian-weighted domains truncated at ``CUT_SIGMAS`` standard
+deviations.
 
 :func:`integrate_adaptive` wraps ``scipy.integrate.quad`` (QUADPACK) for
 complex integrands, raising :class:`QuadratureError` where QUADPACK
@@ -6,12 +13,13 @@ reports non-convergence; the curvature-form oracle of ``overlap_engine``
 integrates on it alone.  :func:`gauss_hermite` serves the rules of
 ``scipy.special.roots_hermite`` as cached, read-only
 :class:`QuadratureRule` objects, which only the tests and the benchmark
-harness use.  Production overlaps use neither: they take the fixed
-axial rule and ``scipy.special.erfcx`` in ``overlap_engine``.
+harness use.  Production overlaps use neither: they take the panel
+rule and ``scipy.special.erfcx``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -20,12 +28,23 @@ import numpy as np
 from scipy.special import roots_hermite
 
 __all__ = [
+    "CUT_SIGMAS",
+    "SQRT_2PI",
     "QuadratureError",
     "QuadratureRule",
     "AdaptiveResult",
     "gauss_hermite",
+    "graded_edges",
     "integrate_adaptive",
+    "legendre_rule",
+    "panel_nodes",
 ]
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# truncation half-width of Gaussian-weighted domains, in standard deviations;
+# the neglected tail is below exp(-8.5^2/2) ~ 2e-16 of the envelope
+CUT_SIGMAS = 8.5
 
 # points per panel of QUADPACK's 21-point Gauss-Kronrod rule
 _QUADPACK_PANEL_POINTS = 21
@@ -34,10 +53,38 @@ _QUADPACK_PANEL_POINTS = 21
 class QuadratureError(RuntimeError):
     """An integration routine could not reach the requested tolerance."""
 
-    def __init__(self, message: str, value=None, error=None):
-        super().__init__(message)
-        self.value = value
-        self.error = error
+
+def graded_edges(h0: float, limit: float, ratio: float) -> list[float]:
+    """Symmetric breakpoints growing geometrically from the origin to +-limit."""
+    if not h0 > 0.0:
+        raise ValueError(f"the first breakpoint must be positive, got {h0!r}")
+    pts = [0.0, limit]
+    x = h0
+    while x < limit:
+        pts.append(x)
+        x *= ratio
+    return sorted({-p for p in pts} | set(pts))
+
+
+@lru_cache(maxsize=64)
+def legendre_rule(n: int):
+    """Read-only nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def panel_nodes(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights tiled over consecutive panels."""
+    base_x, base_w = legendre_rule(order)
+    lo = edges[:-1]
+    hi = edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    weights = (half[:, None] * base_w[None, :]).ravel()
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -129,7 +176,5 @@ def integrate_adaptive(
         if len(info[part]) > 1:
             raise QuadratureError(
                 f"adaptive integration of the {part} part did not converge "
-                f"(error estimate {error:.3e}): {info[part][1]}",
-                value=value, error=error,
-            )
+                f"(error estimate {error:.3e}): {info[part][1]}")
     return AdaptiveResult(value, error, nevals)

@@ -178,9 +178,9 @@ def test_criterion_6_emission_normalization():
     curve = adiabatic_beta(pulse, t)
     b_end_dev = abs(curve.big_b[-1] - 1.0)
 
-    cloud = CloudGeometry(5.0, 100.0, n_atoms=1000)
-    emission = photon_number(cloud, UNIFORM, 10.0, pulse, t)
-    g_n = emission.g_factor * cloud.n_atoms
+    n_atoms = 1000
+    emission = photon_number(CloudGeometry(5.0, 100.0), UNIFORM, 10.0, pulse, t, n_atoms)
+    g_n = emission.g_factor * n_atoms
     n_dev = abs(emission.n[-1] - g_n) / g_n
 
     traj = integrate_amplitudes(pulse, 0.0, 500.0, 0.01)

@@ -51,6 +51,10 @@ class TestPulseShape:
     def test_strong_drive_warns(self):
         with pytest.warns(UserWarning):
             PulseShape.constant(0.5)
+        with pytest.warns(UserWarning) as record:
+            PulseShape("constant", 0.3)
+        # the warning names the constructing line, not the generated __init__
+        assert record[0].filename == __file__
 
     def test_constant_pump_integral(self):
         pulse = PulseShape.constant(0.1)
@@ -264,30 +268,34 @@ def test_propagators_match_per_step_loop(pulse, detuning, t_end, step, kwargs):
 
 class TestPhotonNumber:
     def test_starts_at_zero_and_monotone(self, weak_pulse, long_grid):
-        cloud = CloudGeometry(5.0, 100.0, n_atoms=50)
-        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid)
+        cloud = CloudGeometry(5.0, 100.0)
+        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid, 50)
         assert curve.n[0] == 0.0
         assert np.all(np.diff(curve.n) >= 0.0)
 
     def test_pointwise_product_identity(self, weak_pulse, long_grid):
-        cloud = CloudGeometry(5.0, 100.0, n_atoms=50)
-        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid)
+        cloud = CloudGeometry(5.0, 100.0)
+        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid, 50)
         expect = curve.g_factor * 50 * curve.big_b
         assert np.max(np.abs(curve.n - expect)) < 1e-12
 
     def test_saturation_value(self, weak_pulse, long_grid):
-        cloud = CloudGeometry(5.0, 100.0, n_atoms=1000)
-        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid)
+        cloud = CloudGeometry(5.0, 100.0)
+        curve = photon_number(cloud, UNIFORM, 10.0, weak_pulse, long_grid, 1000)
         g = compute_xi(cloud, 10.0, UNIFORM).geometric_factor
         assert curve.n[-1] == pytest.approx(g * 1000.0, rel=2e-6)
 
     def test_threshold_example(self, weak_pulse, long_grid):
         from gausscollect.waist_optimizer import optimal_waist_numeric
 
-        cloud = CloudGeometry(10.0, 200.0, n_atoms=1000)
+        cloud = CloudGeometry(10.0, 200.0)
         rec = optimal_waist_numeric(cloud, UNIFORM)
-        curve = photon_number(cloud, UNIFORM, rec.w0_max_bar, weak_pulse, long_grid)
+        curve = photon_number(cloud, UNIFORM, rec.w0_max_bar, weak_pulse, long_grid, 1000)
         assert 2.5 <= curve.n[-1] <= 10.0
+
+    def test_rejects_an_empty_cloud(self, weak_pulse, long_grid):
+        with pytest.raises(ValueError, match="n_atoms"):
+            photon_number(CloudGeometry(5.0, 100.0), UNIFORM, 10.0, weak_pulse, long_grid, 0)
 
 
 class TestSingleAtomCollected:

@@ -12,7 +12,6 @@ from gausscollect.ensemble_model import (
     UNIFORM,
     CloudGeometry,
     PhaseProfile,
-    density,
     make_profile,
     phase_at_points,
     sample_positions,
@@ -31,50 +30,9 @@ class TestCloudGeometry:
             CloudGeometry(0.0, 1.0)
         with pytest.raises(ValueError):
             CloudGeometry(1.0, -1.0)
-        with pytest.raises(ValueError):
-            CloudGeometry(1.0, 1.0, 0)
 
     def test_pancake_allowed(self):
         assert CloudGeometry(2.0, 0.0).sigma_z_bar == 0.0
-
-
-class TestDensity:
-    def test_peak_value(self):
-        cloud = CloudGeometry(5.0, 100.0, n_atoms=1000)
-        expect = 1000.0 / ((2.0 * math.pi) ** 1.5 * 25.0 * 100.0)
-        assert density(cloud, at(0, 0, 0))[0] == pytest.approx(expect, rel=1e-14)
-        assert expect == pytest.approx(0.02539745437, rel=1e-9)
-
-    def test_transverse_falloff(self):
-        cloud = CloudGeometry(3.0, 10.0)
-        rho = math.sqrt(2.0) * 3.0  # rho^2 = 2 sigma_perp^2
-        peak, edge = density(cloud, np.array([[0.0, 0.0, 0.0], [rho, 0.0, 0.0]]))
-        assert edge == pytest.approx(peak / math.e, rel=1e-13)
-
-    def test_normalization_by_quadrature(self):
-        from scipy.integrate import simpson
-
-        cloud = CloudGeometry(2.0, 7.0, n_atoms=350)
-        r = np.linspace(0.0, 16.0, 1201)  # 8 sigma_perp
-        z = np.linspace(-56.0, 56.0, 1601)
-        rr, zz = np.meshgrid(r, z, indexing="ij")
-        body = density(cloud, np.column_stack([r, 0.0 * r, 0.0 * r]))[:, None] * np.exp(
-            -zz**2 / 98.0
-        )
-        integral = simpson(simpson(2.0 * math.pi * rr * body, x=z, axis=1), x=r)
-        assert integral == pytest.approx(cloud.n_atoms, rel=1e-6)
-
-    def test_symmetries(self):
-        cloud = CloudGeometry(2.5, 30.0)
-        a, rotated, mirrored = density(
-            cloud, np.array([[1.0, 2.0, 5.0], [-2.0, 1.0, 5.0], [1.0, 2.0, -5.0]])
-        )
-        assert rotated == pytest.approx(a, rel=1e-13)
-        assert mirrored == pytest.approx(a, rel=1e-13)
-
-    def test_rejects_pancake(self):
-        with pytest.raises(ValueError):
-            density(CloudGeometry(1.0, 0.0), at(0, 0, 0))
 
 
 class TestSampler:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gausscollect.emission_dynamics import AmplitudeTrajectory, PulseShape, integrate_amplitudes
 from gausscollect import far_field
 from gausscollect.ensemble_model import (
     FULL_GAUSSIAN,
@@ -15,12 +14,11 @@ from gausscollect.ensemble_model import (
     phase_at_points,
     sample_positions,
 )
-from gausscollect.overlap_engine import _graded_edges, _panel_nodes
+from gausscollect.special_math import graded_edges, panel_nodes
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 from gausscollect.far_field import (
     DirectionGrid,
     sampled_structure_factor,
-    single_atom_intensity,
     structure_factor,
 )
 
@@ -30,39 +28,6 @@ def form_factor(theta, sp, sz):
     q_perp = math.sin(theta)
     q_z = 1.0 - math.cos(theta)
     return math.exp(-(q_perp * sp) ** 2 - (q_z * sz) ** 2)
-
-
-@pytest.fixture
-def decay_trajectory():
-    return integrate_amplitudes(PulseShape.constant(0.0), 0.0, 60.0, 0.005, c0=0.0, b0=1.0)
-
-
-class TestSingleAtomIntensity:
-    def test_causality(self, decay_trajectory):
-        assert single_atom_intensity(5.0, 3.0, decay_trajectory) == 0.0
-
-    def test_wavefront_value(self, decay_trajectory):
-        # fully excited emitter at zero retarded time
-        value = single_atom_intensity(1.0, 1.0, decay_trajectory)
-        assert value == pytest.approx(1.0 / (4.0 * math.pi) * 0.5, rel=1e-6)
-
-    def test_rejects_origin(self, decay_trajectory):
-        with pytest.raises(ValueError):
-            single_atom_intensity(0.0, 1.0, decay_trajectory)
-
-    def test_shell_energy_matches_decay_bookkeeping(self, decay_trajectory):
-        # with the spherical-wave normalization used here, the radiated
-        # energy is half the lost excitation (per photon-energy unit)
-        r = 3.0
-        t = r + np.linspace(0.0, 60.0, 120_001)
-        intensity = single_atom_intensity(r, t, decay_trajectory)
-        total = 4.0 * math.pi * r * r * np.trapezoid(intensity, t)
-        lost = (
-            1.0
-            - abs(decay_trajectory.c_values[-1]) ** 2
-            - abs(decay_trajectory.b_values[-1]) ** 2
-        )
-        assert total == pytest.approx(0.5 * lost, rel=1e-3)
 
 
 class TestSampledStructureFactor:
@@ -237,14 +202,14 @@ def mean_phasor_reference(cloud, profile, theta):
     zr = sz if profile.reference_beam is None else profile.reference_beam.rayleigh_bar
     q_perp_sq = math.sin(theta) ** 2
     q_z = 2.0 * math.sin(0.5 * theta) ** 2
-    edges = np.array(_graded_edges(min(zr, sz) / 16.0, 8.5 * sz, 1.3))
-    z, _ = _panel_nodes(edges, 16)
+    edges = np.array(graded_edges(min(zr, sz) / 16.0, 8.5 * sz, 1.3))
+    z, _ = panel_nodes(edges, 16)
     phase = np.unwrap(np.angle(transverse_mean(z, cloud, profile, q_perp_sq)))
     turn = np.abs(np.diff(phase.reshape(-1, 16), axis=1)).sum(axis=1)
     pieces = 4 * np.maximum(1, np.ceil((q_z * np.diff(edges) + turn) / math.pi)).astype(int)
     total = 0j
     for a, b, n in zip(edges[:-1], edges[1:], pieces):
-        z, w = _panel_nodes(np.linspace(a, b, n + 1), 16)
+        z, w = panel_nodes(np.linspace(a, b, n + 1), 16)
         density = np.exp(-0.5 * (z / sz) ** 2) / (math.sqrt(2.0 * math.pi) * sz)
         total += np.sum(w * density * transverse_mean(z, cloud, profile, q_perp_sq)
                         * np.exp(1j * q_z * z))

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every name a package module imports is used there or re-exported, and
+each module imports exactly the package modules the module graph lists.
 
 Each module is parsed with ``ast``: a name bound by an ``import`` must
 be read somewhere in the module or be listed in its ``__all__``.  The
@@ -20,6 +21,50 @@ KEPT_FOR_HARNESS = {
     ("overlap_engine", "gauss_hermite"):
         'perfbench/layers.py: tracer.install(overlap_engine, "gauss_hermite", ...)',
 }
+
+
+# module -> the package modules it imports ("__init__" is the package
+# itself); the models and the quadrature module sit at the bottom, and the
+# far field needs nothing from the overlap engine or the dynamics
+MODULE_GRAPH = {
+    "paraxial_beam": set(),
+    "special_math": set(),
+    "ensemble_model": {"paraxial_beam"},
+    "overlap_engine": {"ensemble_model", "special_math"},
+    "far_field": {"ensemble_model", "special_math"},
+    "emission_dynamics": {"ensemble_model", "overlap_engine"},
+    "waist_optimizer": {"ensemble_model", "overlap_engine"},
+    "validation": {"emission_dynamics", "ensemble_model", "far_field", "overlap_engine",
+                   "waist_optimizer"},
+    "cli": {"__init__", "emission_dynamics", "ensemble_model", "far_field", "overlap_engine",
+            "special_math", "validation", "waist_optimizer"},
+    "__init__": {"paraxial_beam", "ensemble_model", "overlap_engine", "special_math"},
+}
+
+
+def package_imports(path):
+    """The package modules ``path`` imports, relatively or by absolute name."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = node.module.split(".") if node.module else []
+            elif node.module and node.module.split(".")[0] == PACKAGE.name:
+                parts = node.module.split(".")[1:]
+            else:
+                continue
+            if parts:
+                found.add(parts[0])
+            else:
+                # ``from . import name``: a submodule, or a name of the package
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE.name:
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
 
 
 def imported_and_used(path):
@@ -52,3 +97,14 @@ def test_every_import_is_used(path):
 def test_allow_list_names_real_modules():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     assert {module for module, _ in KEPT_FOR_HARNESS} <= modules
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_graph(path):
+    assert sorted(package_imports(path)) == sorted(MODULE_GRAPH[path.stem])
+
+
+def test_module_graph_covers_the_package():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert set(MODULE_GRAPH) == modules
+    assert set().union(*MODULE_GRAPH.values()) <= modules

@@ -16,16 +16,13 @@ from gausscollect.ensemble_model import (
 from gausscollect.overlap_engine import (
     OverlapResult,
     compute_xi,
-    geometric_factor,
     geometric_factors,
     small_cloud_factors,
     _brute_force_level,
-    _graded_edges,
-    _panel_nodes,
     xi_brute_force,
     xi_gouy_compensated_curvature_form,
 )
-from gausscollect.special_math import QuadratureError
+from gausscollect.special_math import QuadratureError, graded_edges, panel_nodes
 from gausscollect.validation import sample_overlap_triples
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 
@@ -325,7 +322,7 @@ class TestBatchedKernel:
     def test_oracles_reject_a_vanishing_rayleigh_length(self):
         cloud = CloudGeometry(1.0, 1.0)
         with pytest.raises(ValueError, match="first breakpoint"):
-            _graded_edges(0.0, 1.0, 1.6)
+            graded_edges(0.0, 1.0, 1.6)
         with pytest.raises(ValueError, match="Rayleigh length"):
             xi_gouy_compensated_curvature_form(cloud, 1e-200)
         for variant in VARIANTS:
@@ -405,39 +402,19 @@ class TestAxialQuadratureRoutes:
             assert abs(hermite - adaptive) < 1e-10
 
 
-class TestGeometricFactor:
-    def test_matched_waist_formula(self):
-        sp = 3.0
-        g = geometric_factor(0.25, math.sqrt(2.0) * sp)
-        assert g == pytest.approx(3.0 / (4.0 * sp * sp), rel=1e-14)
-
-    def test_pancake_optimum_value(self):
-        g = geometric_factor(0.25, math.sqrt(2.0) * 2.0)
-        assert g == pytest.approx(0.1875, rel=1e-14)
-
-    def test_zero(self):
-        assert geometric_factor(0.0, 5.0) == 0.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            geometric_factor(0.1, 0.0)
-        with pytest.raises(ValueError):
-            geometric_factor(-0.1, 1.0)
-
-
 def brute_force_level_loop(sp, sz, zeta, variant, level):
     """One level of the brute-force overlap, one axial panel at a time and
     one exponential per radial node: the per-panel form that
     ``overlap_engine._brute_force_level`` sums in closed form."""
     order = 16 + 4 * level
     h0 = min(zeta, sz) / (6.0 * 1.5 ** level)
-    z_edges = np.array(_graded_edges(h0, 8.5 * sz, ratio=1.4))
+    z_edges = np.array(graded_edges(h0, 8.5 * sz, ratio=1.4))
     phase_budget = 5.0 / (1.4 ** level)
     sp_sq = sp * sp
     u_max = (8.5 * sp) ** 2
     total = 0.0 + 0.0j
     for k in range(len(z_edges) - 1):
-        z, wz = _panel_nodes(z_edges[k:k + 2], order)
+        z, wz = panel_nodes(z_edges[k:k + 2], order)
         q = z + 1j * zeta
         abs_q_sq = z * z + zeta * zeta
         s_eff = 1.0 / (2.0 * sp_sq) + (zeta + 1j * z) / (2.0 * abs_q_sq)
@@ -450,7 +427,7 @@ def brute_force_level_loop(sp, sz, zeta, variant, level):
         re_min = float(np.min(s_eff.real))
         u_end = min(u_max, 45.0 / re_min)
         n_panels = max(2, math.ceil(u_end * float(np.max(np.abs(s_eff))) / phase_budget))
-        u, wu = _panel_nodes(np.linspace(0.0, u_end, n_panels + 1), order)
+        u, wu = panel_nodes(np.linspace(0.0, u_end, n_panels + 1), order)
         radial = 0.5 * (wu[None, :] @ np.exp(-np.outer(s_eff, u).T)).ravel()
         total += np.sum(wz * factor * radial)
     return total / (math.sqrt(2.0 * math.pi) * sp_sq * sz)
