@@ -12,6 +12,7 @@ from gausscollect.ensemble_model import (
     UNIFORM,
     CloudGeometry,
     make_profile,
+    phase_at_points,
 )
 from gausscollect.overlap_engine import (
     OverlapResult,
@@ -402,6 +403,35 @@ class TestAxialQuadratureRoutes:
             assert abs(hermite - adaptive) < 1e-10
 
 
+class TestGeometricFactor:
+    """``geometric_factor = 6 |xi|^2 / w0^2``, as ``OverlapResult.from_xi``
+    and the batched kernel compute it."""
+
+    def test_matched_waist_formula(self):
+        sp = 3.0
+        g = OverlapResult.from_xi(-0.5j, math.sqrt(2.0) * sp, "closed_form").geometric_factor
+        assert g == pytest.approx(3.0 / (4.0 * sp * sp), rel=1e-14)
+
+    def test_pancake_optimum_value(self):
+        # the pancake overlap -i zR / (zR + sp^2) is -i/2 at the matched waist
+        w0 = math.sqrt(2.0) * 2.0
+        assert compute_xi(CloudGeometry(2.0, 0.0), w0, UNIFORM).geometric_factor == pytest.approx(
+            0.1875, rel=1e-14)
+        assert geometric_factors([4.0], [0.0], [[w0]], UNIFORM)[0, 0] == pytest.approx(
+            0.1875, rel=1e-14)
+
+    def test_zero(self):
+        assert OverlapResult.from_xi(0.0, 5.0, "closed_form").geometric_factor == 0.0
+
+    def test_rejects_bad_input(self):
+        # the pancake closed form would divide by w0^2 = 0 without the check
+        for cloud in (CloudGeometry(2.0, 0.0), CloudGeometry(2.0, 50.0)):
+            for variant in VARIANTS:
+                for bad in (0.0, -1.0):
+                    with pytest.raises(ValueError, match="w0_bar"):
+                        compute_xi(cloud, bad, variant)
+
+
 def brute_force_level_loop(sp, sz, zeta, variant, level):
     """One level of the brute-force overlap, one axial panel at a time and
     one exponential per radial node: the per-panel form that
@@ -454,3 +484,55 @@ class TestBruteForceRadialSums:
             fast = _brute_force_level(sp, sz, zeta, variant, level)
             loop = brute_force_level_loop(sp, sz, zeta, variant, level)
             assert abs(fast - loop) <= 1e-13 * abs(loop)
+
+
+def composite_legendre(a, b, panels, order):
+    """Nodes and weights of ``panels`` equal Gauss-Legendre panels on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+
+
+def documented_mode(w0, rho, z):
+    """The collection mode of README "Physics conventions", as written:
+    ``(zR / q*) exp[i (z + rho^2 / (2 q*))]`` with ``q = z + i zR``."""
+    zr = 0.5 * w0 * w0
+    q_conj = np.conj(z + 1j * zr)
+    return zr / q_conj * np.exp(1j * (z + rho * rho / (2.0 * q_conj)))
+
+
+def documented_overlap(cloud, w0, variant):
+    """``xi = integral n(r) conj(v(r)) exp(i [z + phi(r)]) d^3 r`` of the
+    normalized cloud density ``n``, the documented mode ``v`` and the stored
+    phase ``phi`` of ``phase_at_points``, on a plain (rho, z) tensor mesh to
+    9 standard deviations (nothing depends on azimuth)."""
+    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
+    rho, w_rho = composite_legendre(0.0, 9.0 * sp, 24, 16)
+    z, w_z = composite_legendre(-9.0 * sz, 9.0 * sz, 64, 16)
+    rr, zz = np.meshgrid(rho, z, indexing="ij")
+    points = np.column_stack([rr.ravel(), np.zeros(rr.size), zz.ravel()])
+    phi = phase_at_points(make_profile(variant, w0), points).reshape(rr.shape)
+    density = np.exp(-0.5 * (rr / sp) ** 2 - 0.5 * (zz / sz) ** 2) / (
+        (2.0 * math.pi) ** 1.5 * sp * sp * sz)
+    body = 2.0 * math.pi * rr * density * np.conj(documented_mode(w0, rr, zz)) * np.exp(
+        1j * (zz + phi))
+    return w_rho @ body @ w_z
+
+
+class TestDocumentedMode:
+    """The kernel and the brute-force oracle integrate the documented mode
+    against the documented stored phases."""
+
+    @pytest.mark.parametrize("sp, sz, w0", [
+        (3.0, 10.0, 5.0),  # cloud about a Rayleigh length long
+        (2.0, 40.0, 4.0),  # cloud several Rayleigh lengths long
+        (5.0, 2.0, 8.0),  # short, wide cloud
+        (1.0, 150.0, 12.0),  # thin cloud, long against zR = 72
+    ])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_overlap_integrates_documented_mode(self, sp, sz, w0, variant):
+        cloud = CloudGeometry(sp, sz)
+        expect = documented_overlap(cloud, w0, variant)
+        assert abs(compute_xi(cloud, w0, variant).xi - expect) < 1e-12
+        assert abs(xi_brute_force(cloud, w0, make_profile(variant, w0)).xi - expect) < 1e-12
