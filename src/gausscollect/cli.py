@@ -434,10 +434,8 @@ def _cmd_dynamics(config: argparse.Namespace) -> int:
     pulse, t_grid = _dynamics_drive(config)
     curve = photon_number(cloud, config.phase, config.waist_bar, pulse, t_grid, config.n_atoms)
     header = ["t", "beta", "big_b", "n"]
-    rows = [
-        [float(t), float(b), float(bb), float(n)]
-        for t, b, bb, n in zip(curve.times, curve.beta, curve.big_b, curve.n)
-    ]
+    # tolist: rows of Python floats, as the writers expect
+    rows = np.column_stack((curve.times, curve.beta, curve.big_b, curve.n)).tolist()
     n_inf = curve.g_factor * config.n_atoms
     extra = {
         "g_factor": curve.g_factor,
@@ -457,11 +455,9 @@ def _cmd_farfield(config: argparse.Namespace) -> int:
     phis = np.linspace(0.0, 2.0 * math.pi, config.n_phi, endpoint=False)
     grid = structure_factor(cloud, profile, config.n_atoms, DirectionGrid(thetas, phis))
     header = ["theta", "phi", "s"]
-    rows = [
-        [float(th), float(ph), float(grid.intensity[i, j])]
-        for i, th in enumerate(grid.theta_values)
-        for j, ph in enumerate(grid.phi_values)
-    ]
+    # one row per intensity[i, j], phi fastest
+    theta, phi = np.meshgrid(grid.theta_values, grid.phi_values, indexing="ij")
+    rows = np.column_stack((theta.ravel(), phi.ravel(), grid.intensity.ravel())).tolist()
     _emit(config, header, rows, {"forward_value": grid.forward_value})
     return EXIT_OK
 

@@ -12,8 +12,9 @@ efficiency ``G``.
 
 The exact two-amplitude equations are linear, ``y' = A(t) y``, so one
 classical RK4 step is a 2x2 propagator ``y <- M_k y``.  All propagators
-are built at once from vectorized pulse evaluations and then applied in
-order; this integrator validates the adiabatic envelope and feeds the
+are built at once, componentwise, from vectorized pulse evaluations and
+then applied by a two-level blocked scan over ``sqrt(n)``-step blocks;
+this integrator validates the adiabatic envelope and feeds the
 single-emitter collected fraction ``(6 / w0^2) integral |b|^2 dt``.
 """
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .ensemble_model import CloudGeometry
 from .overlap_engine import compute_xi
+from .paraxial_beam import stacklevel_outside
 
 __all__ = [
     "PulseShape",
@@ -66,8 +68,8 @@ class PulseShape:
                 f"Rabi amplitude {self.amplitude} is not small against the decay "
                 "rate; the adiabatic envelope is only qualitative there",
                 UserWarning,
-                # past __post_init__ and the dataclass-generated __init__
-                stacklevel=3,
+                # past the generated __init__ and the constant/gaussian factories
+                stacklevel=stacklevel_outside(__name__),
             )
 
     @classmethod
@@ -174,10 +176,18 @@ def integrate_amplitudes(
     ``K2 = A(t_k + h/2) (I + h/2 K1)``, ``K3 = A(t_k + h/2) (I + h/2 K2)``,
     ``K4 = A(t_k + h) (I + h K3)`` and
     ``M_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``.  Every ``M_k`` is built
-    from three vectorized pulse evaluations; only the ordered product
-    with the state runs step by step, over Python complex scalars.  The
+    componentwise from three vectorized pulse evaluations.  They are
+    applied by a two-level scan: the steps fall into blocks of
+    ``L = isqrt(n_steps)``, the prefix products inside every block are
+    formed at once (``L`` array steps), the block-start states follow in
+    sequence, and every state is one prefix product times its block's
+    start state.  That is O(n) work in O(sqrt n) array operations.  The
     grid takes ``ceil(t_end / step)`` equal steps ending at ``t_end``.
     """
+    for name, value in (("t_end", t_end), ("step", step), ("detuning", detuning),
+                        ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if step <= 0.0:
@@ -191,32 +201,59 @@ def integrate_amplitudes(
     t = times[:-1]
 
     def generator(s):
-        # A(s) for every time in s, shape (s.size, 2, 2)
+        # A(s) = [[0, u], [v, -gamma/2]] for every time in s, as components
         omega = pulse.rabi(s)
         phase = np.exp(1j * detuning * s)
-        a = np.zeros((s.size, 2, 2), dtype=complex)
-        a[:, 0, 1] = 1j * omega * phase
-        a[:, 1, 0] = 1j * omega / phase
-        a[:, 1, 1] = -0.5 * gamma
-        return a
+        return 0.0, 1j * omega * phase, 1j * omega / phase, -0.5 * gamma
 
-    eye = np.eye(2)
+    def step_from(scale, k):
+        # I + scale K
+        return 1.0 + scale * k[0], scale * k[1], scale * k[2], 1.0 + scale * k[3]
+
     k1 = generator(t)
     a_mid = generator(t + 0.5 * h)
-    k2 = a_mid @ (eye + 0.5 * h * k1)
-    k3 = a_mid @ (eye + 0.5 * h * k2)
-    k4 = generator(t + h) @ (eye + h * k3)
-    propagators = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _mat_mul(a_mid, step_from(0.5 * h, k1))
+    k3 = _mat_mul(a_mid, step_from(0.5 * h, k2))
+    k4 = _mat_mul(generator(t + h), step_from(h, k3))
+    propagators = step_from(h / 6.0, [a + 2.0 * b + 2.0 * c + d
+                                      for a, b, c, d in zip(k1, k2, k3, k4)])
+
+    # blocks of L steps, padded to B whole blocks (the padded steps come
+    # after the last state and are dropped) and laid out (L, B), so that
+    # step j of every block is one row; row j is then overwritten, in
+    # order, by the product of the block's first j + 1 propagators
+    size = math.isqrt(n_steps)
+    blocks = -(-n_steps // size)
+    pad = blocks * size - n_steps
+    prefix = [
+        np.concatenate((m, np.zeros(pad))).reshape(blocks, size).T.copy()
+        for m in propagators
+    ]
+    for j in range(1, size):
+        product = _mat_mul([p[j] for p in prefix], [p[j - 1] for p in prefix])
+        for p, value in zip(prefix, product):
+            p[j] = value
 
     y_c, y_b = complex(c0), complex(b0)
-    c, b = [y_c], [y_b]
-    for m00, m01, m10, m11 in zip(*propagators.reshape(n_steps, 4).T.tolist()):
+    start_c, start_b = [y_c], [y_b]
+    for m00, m01, m10, m11 in zip(*(p[-1, :-1].tolist() for p in prefix)):
         y_c, y_b = m00 * y_c + m01 * y_b, m10 * y_c + m11 * y_b
-        c.append(y_c)
-        b.append(y_b)
+        start_c.append(y_c)
+        start_b.append(y_b)
+    start_c, start_b = np.array(start_c), np.array(start_b)
+    c = prefix[0] * start_c + prefix[1] * start_b
+    b = prefix[2] * start_c + prefix[3] * start_b
     return AmplitudeTrajectory(
-        times=times, c_values=np.array(c, dtype=complex), b_values=np.array(b, dtype=complex)
+        times=times,
+        c_values=np.concatenate((start_c[:1], c.T.ravel()[:n_steps])),
+        b_values=np.concatenate((start_b[:1], b.T.ravel()[:n_steps])),
     )
+
+
+def _mat_mul(p, q):
+    """2x2 product ``p q`` of matrices given as (00, 01, 10, 11) components."""
+    return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
 
 
 def photon_number(

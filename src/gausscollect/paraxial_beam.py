@@ -13,6 +13,7 @@ engine's reduced axial integrands and its brute-force oracle.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,20 @@ __all__ = ["ParaxialValidityWarning", "BeamGeometry"]
 
 class ParaxialValidityWarning(UserWarning):
     """Waist of order the wavelength: paraxial formulas are suspect."""
+
+
+def stacklevel_outside(*modules: str) -> int:
+    """The ``stacklevel`` at which a warning raised by the calling function
+    names the first line that runs outside ``modules``.
+
+    A dataclass's generated ``__init__`` runs in its class's module, so
+    naming that module skips it, and naming a factory's module skips the
+    factory: the warning points at the line that asked for the object.
+    """
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__") in modules:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -39,8 +54,8 @@ class BeamGeometry:
                 f"waist w0_bar={w0:.4g} is below ~2 (sub-wavelength focus); "
                 "paraxial mode formulas are evaluated as written",
                 ParaxialValidityWarning,
-                # past __post_init__ and the dataclass-generated __init__
-                stacklevel=3,
+                # past the generated __init__ and make_profile
+                stacklevel=stacklevel_outside(__name__, __package__ + ".ensemble_model"),
             )
 
     @property

@@ -26,6 +26,7 @@ from gausscollect.cli import (
     run,
 )
 from gausscollect.ensemble_model import GOUY_COMPENSATED, UNIFORM
+from gausscollect.paraxial_beam import ParaxialValidityWarning
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MAIN = "import sys; from gausscollect.cli import main; sys.exit(main())"
@@ -360,6 +361,18 @@ class TestMainExitCodes:
         assert "Traceback" not in captured.err and "nan" not in captured.out
         if code == EXIT_NUMERICAL:
             assert "numerical failure" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, category", [
+        ("farfield --sigma-perp-bar 5 --sigma-z-bar 50 --waist-bar 1.5 --phase gouy "
+         "--n-theta 4", ParaxialValidityWarning),
+        ("dynamics --sigma-perp-bar 5 --sigma-z-bar 100 --waist-bar 14.6 --rabi 0.3 "
+         "--t-steps 20", UserWarning),
+    ], ids=["farfield_waist", "dynamics_rabi"])
+    def test_model_warnings_name_the_command_line(self, capsys, argv, category):
+        with pytest.warns(category) as record:
+            assert main(argv.split()) == EXIT_OK
+        # the line of cli.py that built the profile or pulse, not the model's
+        assert pathlib.Path(record[0].filename).name == "cli.py"
 
     def test_validate_exits_zero(self, capsys):
         assert main(["validate", "--suite", "dynamics"]) == EXIT_OK

@@ -49,12 +49,13 @@ class TestPulseShape:
         assert np.isfinite(pump).all()
 
     def test_strong_drive_warns(self):
-        with pytest.warns(UserWarning):
-            PulseShape.constant(0.5)
         with pytest.warns(UserWarning) as record:
+            PulseShape.constant(0.5)
+            PulseShape.gaussian(0.3, 50.0, 10.0)
             PulseShape("constant", 0.3)
-        # the warning names the constructing line, not the generated __init__
-        assert record[0].filename == __file__
+        # each warning names the constructing line, not the generated
+        # __init__ or the factory
+        assert [w.filename for w in record] == [__file__] * 3
 
     def test_constant_pump_integral(self):
         pulse = PulseShape.constant(0.1)
@@ -220,6 +221,77 @@ class TestAmplitudeEquations:
     def test_step_rejection(self, weak_pulse):
         with pytest.raises(ValueError):
             integrate_amplitudes(weak_pulse, 0.0, 10.0, 2.0)
+
+    @pytest.mark.parametrize("name, args, kwargs", [
+        ("t_end", (0.0, math.inf, 0.01), {}),
+        ("t_end", (0.0, math.nan, 0.01), {}),
+        ("step", (0.0, 10.0, math.nan), {}),
+        ("step", (0.0, 10.0, -math.inf), {}),
+        ("detuning", (math.nan, 10.0, 0.01), {}),
+        ("detuning", (-math.inf, 10.0, 0.01), {}),
+        ("gamma", (0.0, 10.0, 0.01), {"gamma": math.nan}),
+        ("gamma", (0.0, 10.0, 0.01), {"gamma": math.inf}),
+    ])
+    def test_rejects_non_finite_inputs(self, weak_pulse, name, args, kwargs):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            integrate_amplitudes(weak_pulse, *args, **kwargs)
+
+
+def propagator_loop_reference(pulse, detuning, t_end, step, c0=1.0, b0=0.0, gamma=1.0):
+    """The stacked-propagator integrator the blocked scan replaced: every
+    ``M_k`` from ``(n, 2, 2)`` matrix products, applied to the state one
+    step at a time over Python complex scalars."""
+    n_steps = int(math.ceil(t_end / step))
+    h = t_end / n_steps
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    t = times[:-1]
+
+    def generator(s):
+        omega = pulse.rabi(s)
+        phase = np.exp(1j * detuning * s)
+        a = np.zeros((s.size, 2, 2), dtype=complex)
+        a[:, 0, 1] = 1j * omega * phase
+        a[:, 1, 0] = 1j * omega / phase
+        a[:, 1, 1] = -0.5 * gamma
+        return a
+
+    eye = np.eye(2)
+    k1 = generator(t)
+    a_mid = generator(t + 0.5 * h)
+    k2 = a_mid @ (eye + 0.5 * h * k1)
+    k3 = a_mid @ (eye + 0.5 * h * k2)
+    k4 = generator(t + h) @ (eye + h * k3)
+    propagators = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y_c, y_b = complex(c0), complex(b0)
+    c, b = [y_c], [y_b]
+    for m00, m01, m10, m11 in zip(*propagators.reshape(n_steps, 4).T.tolist()):
+        y_c, y_b = m00 * y_c + m01 * y_b, m10 * y_c + m11 * y_b
+        c.append(y_c)
+        b.append(y_b)
+    return times, np.array(c), np.array(b)
+
+
+@pytest.mark.parametrize("pulse, detuning, t_end, step, kwargs", [
+    # the two grids of validate --suite dynamics
+    (PulseShape.constant(0.05), 0.0, 500.0, 0.01, {}),
+    (PulseShape.constant(0.0), 0.0, 20.0, 0.01, {"c0": 0.0, "b0": 1.0}),
+    # block edges: isqrt(n) blocks of isqrt(n) steps plus a padded block,
+    # a perfect square, and padding of one to isqrt(n) - 1 steps
+    (PulseShape.constant(0.05), 0.3, 1.0, 0.1, {}),
+    (PulseShape.gaussian(0.1, 0.5, 0.3), 0.3, 1.1, 0.1, {"c0": 0.6, "b0": 0.8j}),
+    (PulseShape.gaussian(0.1, 10.0, 5.0), 0.5, 25.0, 0.01, {}),
+    (PulseShape.gaussian(0.1, 10.0, 5.0), 0.5, 25.03, 0.01, {"c0": 0.6, "b0": 0.8j}),
+    (PulseShape.constant(0.05), 2.0, 100.07, 0.01, {}),
+    (PulseShape.constant(0.05), 0.0, 200.0, 0.01, {"gamma": 0.0}),
+], ids=["validate_envelope", "validate_decay", "steps_10", "steps_11", "steps_2500",
+        "steps_2503", "steps_10007", "conservative_20000"])
+def test_blocked_scan_matches_propagator_loop(pulse, detuning, t_end, step, kwargs):
+    traj = integrate_amplitudes(pulse, detuning, t_end, step, **kwargs)
+    times, c, b = propagator_loop_reference(pulse, detuning, t_end, step, **kwargs)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.c_values - c)) <= 1e-12
+    assert np.max(np.abs(traj.b_values - b)) <= 1e-12
 
 
 def rk4_loop_reference(pulse, detuning, t_end, step, c0=1.0, b0=0.0, gamma=1.0):

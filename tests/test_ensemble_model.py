@@ -78,6 +78,14 @@ class TestPhaseProfiles:
         with pytest.raises(ValueError):
             make_profile(GOUY_COMPENSATED)
 
+    def test_subwavelength_profile_warns_at_the_caller(self):
+        from gausscollect.paraxial_beam import ParaxialValidityWarning
+
+        with pytest.warns(ParaxialValidityWarning) as record:
+            make_profile(GOUY_COMPENSATED, 1.5)
+        # the warning names this line, not make_profile's
+        assert record[0].filename == __file__
+
     def test_uniform_is_zero(self):
         prof = make_profile(UNIFORM)
         assert phase_at_points(prof, at(1.0, -2.0, 3.0))[0] == 0.0

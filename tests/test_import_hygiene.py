@@ -32,7 +32,7 @@ MODULE_GRAPH = {
     "ensemble_model": {"paraxial_beam"},
     "overlap_engine": {"ensemble_model", "special_math"},
     "far_field": {"ensemble_model", "special_math"},
-    "emission_dynamics": {"ensemble_model", "overlap_engine"},
+    "emission_dynamics": {"ensemble_model", "overlap_engine", "paraxial_beam"},
     "waist_optimizer": {"ensemble_model", "overlap_engine"},
     "validation": {"emission_dynamics", "ensemble_model", "far_field", "overlap_engine",
                    "waist_optimizer"},
