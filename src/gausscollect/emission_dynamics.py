@@ -195,7 +195,10 @@ def integrate_amplitudes(
     if step > t_end / 10.0:
         raise ValueError(f"step {step} too coarse for t_end {t_end} (need <= t_end/10)")
 
-    n_steps = int(math.ceil(t_end / step))
+    ratio = t_end / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / step overflows: t_end = {t_end!r}, step = {step!r}")
+    n_steps = int(math.ceil(ratio))
     h = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
     t = times[:-1]

@@ -15,22 +15,25 @@ Evaluation routes:
 * Gouy-compensated and full-Gaussian stored phases: the transverse
   integral is Gaussian and leaves a real, even axial integrand (the
   overlap is purely imaginary), integrated by one fixed rule:
-  16-point Gauss-Legendre panels on the half axis, graded by ratio 1.6
+  16-point Gauss-Legendre panels on the half axis, graded by ratio 3
   from a quarter of the smaller of the Rayleigh length and the cloud
   length out to 8.5 cloud lengths, with the cloud's Gaussian weight
-  folded into the weights;
+  folded into the weights (within 2e-15 of 24-point panels graded by
+  1.3 over the sweep presets' clouds and waists);
 * clouds of zero length, or negligibly short against the Rayleigh
   length, take the analytic pancake overlap, where all profiles
   coincide;
 * a brute-force radial x axial tensor quadrature of the full integral,
   used as the oracle for everything above, and an independent
   beam-width/curvature form of the Gouy-compensated overlap, integrated
-  by adaptive QUADPACK (``scipy.integrate.quad``) on graded breakpoints,
-  which the tests cross-check against the production form.
+  by adaptive QUADPACK (``scipy.integrate.quad``) on its own graded
+  breakpoints, which the tests cross-check against the production form.
 
 :func:`geometric_factors` is the one batched entry, over a matrix of
 cells x waists for every phase variant: the uniform phase in one erfcx
-pass, each compensated cell on one axial mesh shared by its waists;
+pass, the compensated phases on one axial mesh per distinct cloud
+length, shared by every waist of every cell of that length and
+evaluated in blocks of bounded size;
 :func:`compute_xi` is its one-cell, one-waist case.
 :func:`small_cloud_factors` is the flat-front small-cloud model behind
 the closed-form optimal waist.  All functions are pure.
@@ -79,12 +82,18 @@ __all__ = [
 # the fixed axial rule: Gauss-Legendre panels of this order, growing by
 # this ratio away from the focus
 _AXIAL_ORDER = 16
-_AXIAL_RATIO = 1.6
+_AXIAL_RATIO = 3.0
+
+# waist x node values per block of the axial rule's integrand: keeps its
+# temporaries near a quarter of a megabyte however many waists share a mesh
+_BLOCK_NODES = 32_768
 
 # the oracles' accuracy targets: the brute force's agreement between
-# successive meshes, the curvature form's QUADPACK tolerance
+# successive meshes, the curvature form's QUADPACK tolerance; and the
+# growth ratio of the curvature form's breakpoints
 _BRUTE_FORCE_TARGET = 1e-10
 _CURVATURE_TOL = 1e-10
+_CURVATURE_RATIO = 1.6
 
 # past this argument sqrt(pi) x erfcx(x) is 1 to rounding (at 1e100 it
 # evaluates to 0.9999999999999998, 2 ulp below 1), so the uniform closed
@@ -178,9 +187,12 @@ def _xi_kernel(sp_sq: np.ndarray, sz: np.ndarray, w0: np.ndarray, variant: str):
 
     When every cloud has a length the uniform phase is one erfcx pass.
     Otherwise the pancake and degenerate-length limits are decided per
-    waist before any mesh is built; each compensated cell then gets one
-    axial mesh, fine enough for the smallest Rayleigh length among its
-    remaining waists.
+    waist before any mesh is built.  The compensated phases then build
+    one axial mesh per distinct cloud length (a sweep column), fine
+    enough for the smallest Rayleigh length among the remaining waists of
+    all its cells, and evaluate the integrand on it in blocks of about
+    ``_BLOCK_NODES`` waist x node values, so the working set stays small
+    however many waists share the mesh.
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"unknown phase variant {variant!r}")
@@ -200,21 +212,30 @@ def _xi_kernel(sp_sq: np.ndarray, sz: np.ndarray, w0: np.ndarray, variant: str):
         return xi, quad
 
     quad = ~_degenerate_length(sz[:, None], zeta)
-    for r in np.flatnonzero(quad.any(axis=1)):
-        q = quad[r]
-        z, weights = _axial_rule(float(sz[r]), float(zeta[r, q].min()))
+    lengths = np.unique(sz[quad.any(axis=1)])
+    if np.isnan(lengths).any():
+        # NaN equals no length: its cells would fall in no group and get no mesh
+        raise ValueError("cloud length sigma_z is NaN")
+    for length in lengths:
+        rows, cols = np.nonzero(quad & (sz == length)[:, None])
+        zeta_q = zeta[rows, cols]
+        z, weights = _axial_rule(float(length), float(zeta_q.min()))
         z_sq = z * z
-        zq = zeta[r, q][:, None]
-        r_sq = zq * zq + z_sq  # |z + i zR|^2
-        if variant == GOUY_COMPENSATED:
-            # Im of exp(-i arctan(z/zR)) / (z + i p), p = zR + sp^2; the
-            # real part is odd in z and integrates to zero
-            pq = pole[r, q][:, None]
-            f = (zq * pq + z_sq) / ((z_sq + pq * pq) * np.sqrt(r_sq))
-        else:
-            # w(z) / (w(z)^2 + 2 sp^2), scaled by w0 / zR
-            f = np.sqrt(r_sq) / (r_sq + sp_sq[r] * zq)
-        xi[r, q] = -1j * zeta[r, q] * (f @ weights)
+        block = max(1, _BLOCK_NODES // z.size)
+        for start in range(0, zeta_q.size, block):
+            part = slice(start, start + block)
+            r, c = rows[part], cols[part]
+            zq = zeta_q[part, None]
+            r_sq = zq * zq + z_sq  # |z + i zR|^2
+            if variant == GOUY_COMPENSATED:
+                # Im of exp(-i arctan(z/zR)) / (z + i p), p = zR + sp^2; the
+                # real part is odd in z and integrates to zero
+                pq = pole[r, c][:, None]
+                f = (zq * pq + z_sq) / ((z_sq + pq * pq) * np.sqrt(r_sq))
+            else:
+                # w(z) / (w(z)^2 + 2 sp^2), scaled by w0 / zR
+                f = np.sqrt(r_sq) / (r_sq + sp_sq[r, None] * zq)
+            xi[r, c] = -1j * zeta_q[part] * (f @ weights)
     return xi, quad
 
 
@@ -302,7 +323,7 @@ def xi_gouy_compensated_curvature_form(cloud: CloudGeometry, w0_bar: float) -> O
         return np.exp(-z * z / (2.0 * sz * sz)) * smooth
 
     limit = CUT_SIGMAS * sz
-    breaks = graded_edges(min(zeta, sz) / 4.0, limit, _AXIAL_RATIO)
+    breaks = graded_edges(min(zeta, sz) / 4.0, limit, _CURVATURE_RATIO)
     integral = integrate_adaptive(integrand, -limit, limit, _CURVATURE_TOL,
                                   breakpoints=breaks).value
     xi = -1j * (w0_bar / (SQRT_2PI * sz)) * integral

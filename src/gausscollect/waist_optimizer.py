@@ -12,11 +12,13 @@ active: one :func:`~gausscollect.overlap_engine.geometric_factors` call,
 whatever the phase variant or cloud length.  Nothing here assumes the
 objective is unimodal beyond the scan's winning bracket.
 
-A sweep optimizes its cells one sigma_perp row at a time, all cells of
-the row together (one row keeps the working arrays small; a whole grid
-at once would hold every cell's waists and values).  A single optimum
-is the one-cell case.  A cell that fails is recorded with a status tag
-while the other cells of its row carry on.
+A sweep hands its cells to the optimizer sigma_z column by column, in
+chunks of a fixed number of cells optimized together: the cells of a
+column share one axial mesh in the overlap kernel, and a chunk keeps the
+working arrays small (a whole grid at once would hold every cell's
+waists and values).  A single optimum is the one-cell case.  A cell
+that fails is recorded with a status tag while the other cells of its
+chunk carry on.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
 _SCAN_POINTS = 64  # waists of the global log-spaced scan
 _ROUND_POINTS = 17  # waists of each refinement round
 _ROUND_STEPS = np.arange(_ROUND_POINTS, dtype=float)
+# cells per optimal_waists call of a sweep: bounds the working arrays
+# whatever the grid
+_SWEEP_CHUNK = 64
 
 
 class OptimizationError(RuntimeError):
@@ -295,9 +300,11 @@ def sweep(sigma_perp_values, sigma_z_values, profile: str,
 
     Returns the rows of records, row-major in ``sigma_perp``.  Bad axes,
     phase variant or tolerance raise before any cell runs (the last two
-    on the first row).  The cells of each ``sigma_perp`` row are
-    optimized together by :func:`optimal_waists`; a cell that fails is
-    recorded with a ``status`` tag instead of aborting the sweep.
+    on the first chunk).  The cells go to :func:`optimal_waists` in
+    column-major order (``sigma_z`` outer), ``_SWEEP_CHUNK`` at a time,
+    so that cells of one length share their axial mesh; a cell that
+    fails is recorded with a ``status`` tag instead of aborting the
+    sweep.
     """
     sp_values = np.asarray(sigma_perp_values, dtype=float)
     sz_values = np.asarray(sigma_z_values, dtype=float)
@@ -307,7 +314,10 @@ def sweep(sigma_perp_values, sigma_z_values, profile: str,
         raise ValueError("sweep axes must be positive")
     if np.any(np.diff(sp_values) <= 0) or np.any(np.diff(sz_values) <= 0):
         raise ValueError("sweep axes must be strictly increasing")
-    return [
-        optimal_waists([CloudGeometry(sp, sz) for sz in sz_values], profile, tol)
-        for sp in sp_values
+    clouds = [CloudGeometry(sp, sz) for sz in sz_values for sp in sp_values]
+    records = [
+        record
+        for start in range(0, len(clouds), _SWEEP_CHUNK)
+        for record in optimal_waists(clouds[start:start + _SWEEP_CHUNK], profile, tol)
     ]
+    return [records[i::sp_values.size] for i in range(sp_values.size)]

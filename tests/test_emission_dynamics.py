@@ -236,6 +236,12 @@ class TestAmplitudeEquations:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             integrate_amplitudes(weak_pulse, *args, **kwargs)
 
+    @pytest.mark.parametrize("t_end, step", [(1e300, 1e-300), (1.7e308, 1e-10)])
+    def test_rejects_an_overflowing_step_count(self, t_end, step):
+        # both finite, but their ratio is not: no step count exists
+        with pytest.raises(ValueError, match=r"t_end / step overflows: t_end = .*, step = "):
+            integrate_amplitudes(PulseShape.constant(0.05), 0.0, t_end, step)
+
 
 def propagator_loop_reference(pulse, detuning, t_end, step, c0=1.0, b0=0.0, gamma=1.0):
     """The stacked-propagator integrator the blocked scan replaced: every

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gausscollect.ensemble_model import (
     phase_at_points,
 )
 from gausscollect.overlap_engine import (
+    _BLOCK_NODES,
     OverlapResult,
     compute_xi,
     geometric_factors,
@@ -23,8 +25,14 @@ from gausscollect.overlap_engine import (
     xi_brute_force,
     xi_gouy_compensated_curvature_form,
 )
-from gausscollect.special_math import QuadratureError, graded_edges, panel_nodes
-from gausscollect.validation import sample_overlap_triples
+from gausscollect.special_math import (
+    CUT_SIGMAS,
+    SQRT_2PI,
+    QuadratureError,
+    graded_edges,
+    panel_nodes,
+)
+from gausscollect.validation import sample_overlap_triples, validate_overlap
 from gausscollect.waist_optimizer import default_bracket, optimal_waist_numeric
 
 
@@ -329,6 +337,94 @@ class TestBatchedKernel:
         for variant in VARIANTS:
             with pytest.raises(ValueError, match="Rayleigh length"):
                 xi_brute_force(cloud, 1e-200, make_profile(variant, 1e-200))
+
+
+def per_cell_axial_xi(cloud, ws, variant, order, ratio):
+    """Compensated ``xi`` of one cloud over the 1-d waists ``ws`` by the axial
+    rule as the kernel applied it before clouds of one length shared a mesh:
+    one mesh per cloud, from the smallest Rayleigh length among ``ws``, of
+    Gauss-Legendre panels of ``order`` points graded by ``ratio`` (16 and 1.6
+    then)."""
+    sp, sz = cloud.sigma_perp_bar, cloud.sigma_z_bar
+    zeta = 0.5 * np.asarray(ws, dtype=float) ** 2
+    edges = np.array(graded_edges(min(zeta.min(), sz) / 4.0, CUT_SIGMAS * sz, ratio))
+    z, w = panel_nodes(edges[edges >= 0.0], order)
+    w = w * np.exp(-z * z / (2.0 * sz * sz)) * (2.0 / (SQRT_2PI * sz))
+    zq, z_sq = zeta[:, None], z * z
+    r_sq = zq * zq + z_sq
+    if variant == GOUY_COMPENSATED:
+        p = zq + sp * sp
+        f = (zq * p + z_sq) / ((z_sq + p * p) * np.sqrt(r_sq))
+    else:
+        f = np.sqrt(r_sq) / (r_sq + sp * sp * zq)
+    return -1j * zeta * (f @ w)
+
+
+def matrix_factors(clouds, W, variant):
+    """One ``geometric_factors`` call for ``clouds`` on the rows of ``W``."""
+    return geometric_factors([c.sigma_perp_bar ** 2 for c in clouds],
+                             [c.sigma_z_bar for c in clouds], W, variant)
+
+
+def bracket_scans(clouds):
+    return np.array([np.geomspace(*default_bracket(c), 64) for c in clouds])
+
+
+def preset_columns(seed, n_lengths, n_widths):
+    """Seeded clouds of the preset box: ``n_widths`` log-uniform widths on
+    each of ``n_lengths`` log-uniform lengths, as sweep columns hold them."""
+    rng = np.random.default_rng(seed)
+    lengths = np.exp(rng.uniform(0.0, math.log(1000.0), n_lengths)).tolist()
+    return [CloudGeometry(float(np.exp(rng.uniform(0.0, math.log(50.0)))), sz)
+            for sz in lengths for _ in range(n_widths)]
+
+
+class TestSharedAxialMesh:
+    """Clouds of one length share one axial mesh, evaluated in blocks."""
+
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    @pytest.mark.parametrize("order, ratio", [(16, 1.6), (24, 1.3)])
+    def test_matches_per_cell_rules(self, variant, order, ratio):
+        # the rule it replaced and a finer one, on 60 clouds in 12 columns
+        # scanned over their brackets
+        clouds = preset_columns(41, 12, 5)
+        W = bracket_scans(clouds)
+        reference = np.array([6.0 * np.abs(per_cell_axial_xi(c, w, variant, order, ratio)) ** 2
+                              / (w * w) for c, w in zip(clouds, W)])
+        assert_allclose(matrix_factors(clouds, W, variant), reference, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_shared_length_rows_equal_one_cloud_rows(self, variant):
+        # two interleaved lengths of 60 widths each: every group of 60 x 64
+        # waists on a mesh of at least 16 nodes spans more than one block
+        clouds = [CloudGeometry(sp, sz) for sp in np.geomspace(1.0, 50.0, 60).tolist()
+                  for sz in (20.0, 300.0)]
+        W = bracket_scans(clouds)
+        assert 60 * 64 * 16 > _BLOCK_NODES
+        rows = [cloud_factors(c, w, variant) for c, w in zip(clouds, W)]
+        assert_allclose(matrix_factors(clouds, W, variant), rows, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_one_length_column_works_in_blocks(self, variant):
+        # 3,840 waists on one mesh of 192 nodes: each temporary of an
+        # unblocked integrand takes about 6 MB, and the call peaks near 20 MB
+        clouds = [CloudGeometry(sp, 300.0) for sp in np.geomspace(1.0, 50.0, 60).tolist()]
+        W = bracket_scans(clouds)
+        tracemalloc.start()
+        try:
+            matrix_factors(clouds, W, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+    @pytest.mark.parametrize("variant", [GOUY_COMPENSATED, FULL_GAUSSIAN])
+    def test_rejects_a_nan_length(self, variant):
+        with pytest.raises(ValueError, match="sigma_z is NaN"):
+            geometric_factors([4.0, 4.0], [math.nan, 10.0], [[3.0, 5.0]] * 2, variant)
+
+    def test_validate_overlap_passes_at_1e_10(self):
+        assert validate_overlap(tol=1e-10).passed
 
 
 # the fig2 preset box, log-uniform: sigma_perp in [1, 50], sigma_z in [1, 1000]

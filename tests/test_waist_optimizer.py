@@ -14,6 +14,7 @@ from gausscollect.ensemble_model import (
 )
 from gausscollect.overlap_engine import compute_xi, geometric_factors, small_cloud_factors
 from gausscollect.waist_optimizer import (
+    _SWEEP_CHUNK,
     OptimizationError,
     default_bracket,
     maximize_rows,
@@ -335,6 +336,19 @@ class TestSweep:
         assert cell.w0_max_bar == direct.w0_max_bar
         assert cell.g_max == direct.g_max
         assert cell.cloud == direct.cloud
+
+    def test_grid_beyond_one_chunk_keeps_row_order(self):
+        # cells go to the optimizer sigma_z column by column, in chunks;
+        # the records come back as sigma_perp rows
+        sp = np.geomspace(2.0, 40.0, 9).tolist()
+        sz = np.geomspace(5.0, 800.0, 8).tolist()
+        assert len(sp) * len(sz) > _SWEEP_CHUNK
+        grid = sweep(sp, sz, UNIFORM, 1e-6)
+        assert [len(row) for row in grid] == [len(sz)] * len(sp)
+        for i, row in enumerate(grid):
+            for j, rec in enumerate(row):
+                assert rec.cloud == CloudGeometry(sp[i], sz[j])
+                assert rec == optimal_waist_numeric(rec.cloud, UNIFORM, 1e-6)
 
     def test_deterministic_and_parallel_identical(self):
         sp = [2.0, 5.0]
